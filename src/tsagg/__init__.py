@@ -10,7 +10,7 @@ from .core import (
     validate_and_build,
 )
 from .errors import ConfigError, DataError
-from .hierarchy import ClusterResult, Connectivity, Linkage, medoid_of, ward_cluster, ward_linkage
+from .hierarchy import ClusterResult, Linkage, medoid_of, ward_cluster, ward_linkage
 from .metrics import (
     MetricsReport,
     attribute_rmse,
@@ -35,13 +35,12 @@ from .representation import (
     represent_distribution,
     represent_medoid,
 )
-from .segmentation import Segment, SegmentLayout, segment_period, segment_representatives
+from .segmentation import SegmentLayout, segment_representatives
 
 __all__ = [
     "ClusterResult",
     "ConfigError",
     "ConfigEvaluator",
-    "Connectivity",
     "DataError",
     "Linkage",
     "MetricsReport",
@@ -50,7 +49,6 @@ __all__ = [
     "PathwayTrace",
     "PeriodFrame",
     "RepresentativeSet",
-    "Segment",
     "SegmentLayout",
     "TimeSeriesSet",
     "attribute_rmse",
@@ -68,7 +66,6 @@ __all__ = [
     "represent_distribution",
     "represent_medoid",
     "rmse_tot",
-    "segment_period",
     "segment_representatives",
     "select_config",
     "to_periods",

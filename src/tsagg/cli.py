@@ -1,12 +1,14 @@
 """Command-line front end: CSV in, aggregated CSV/JSON artifacts out.
 
-Input format: UTF-8 CSV with a header row of attribute names, one row per
-time step, dot decimal separator. A leading timestamp column is detected
-by the header name "timestamp" (case-insensitive) and excluded from the
-values. All numeric output is printed with 12 significant digits, so
-repeated runs on identical input produce byte-identical files.
+Input format: UTF-8 CSV (a leading byte-order mark is skipped) with a
+header row of attribute names, one row per time step, dot decimal
+separator. A leading timestamp column is detected by the header name
+"timestamp" (case-insensitive) and excluded from the values. All numeric
+output is printed with 12 significant digits, so repeated runs on
+identical input produce byte-identical files.
 
-Exit codes: 0 success, 2 input/format error, 3 configuration error.
+Exit codes: 0 success, 2 input/format or filesystem error, 3 configuration
+error.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def write_json(path: Path, payload: dict) -> None:
 def read_csv(path: Path) -> TimeSeriesSet:
     """Parse a time-series CSV; errors name the offending line."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
@@ -110,7 +112,13 @@ def read_csv(path: Path) -> TimeSeriesSet:
             raise DataError(f"{path}: line {line_no}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return validate_and_build(rows, names, resolution_hours=1.0,
+    values = np.array(rows)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        t, a = bad[0]
+        raise DataError(
+            f"{path}: line {t + 2}: non-finite value in column {names[a]!r}")
+    return validate_and_build(values, names, resolution_hours=1.0,
                               origin_timestamp=origin)
 
 
@@ -123,11 +131,13 @@ def write_representatives(path: Path, reps: RepresentativeSet,
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["cluster_id", "weight", "segment_id", "duration_steps",
                          *ts.attribute_names])
+        layout = reps.segments
+        values = denormalize(layout.values.reshape(-1, reps.n_attributes),
+                             norm_params).reshape(layout.values.shape)
         for c in range(reps.k):
-            for si, seg in enumerate(reps.segments.periods[c]):
-                values = denormalize(seg.values.reshape(1, -1), norm_params)[0]
-                writer.writerow([c, int(reps.weights[c]), si, seg.length_steps,
-                                 *(_fmt(v) for v in values)])
+            for si in range(layout.n_segments):
+                writer.writerow([c, int(reps.weights[c]), si, int(layout.lengths[c, si]),
+                                 *(_fmt(v) for v in values[c, si])])
 
 
 def write_mapping(path: Path, clusters: ClusterResult) -> None:
@@ -214,13 +224,20 @@ def cmd_metrics(original_path: Path, aggregated_path: Path,
     """Score an externally produced aggregation against the original."""
     original = read_csv(original_path)
     aggregated = read_csv(aggregated_path)
+    names = original.attribute_names
+    if set(aggregated.attribute_names) != set(names):
+        raise DataError(
+            f"attribute mismatch: original {list(names)}, "
+            f"aggregated {list(aggregated.attribute_names)}")
     if original.values.shape != aggregated.values.shape:
         raise DataError(
             f"shape mismatch: original {original.values.shape}, "
             f"aggregated {aggregated.values.shape}")
+    # align the aggregated columns to the original by name
+    columns = [aggregated.attribute_names.index(n) for n in names]
     normalized, params = normalize(original, normalization)
-    agg_normalized = (aggregated.values - params.offset) / params.scale
-    report = build_report(normalized, agg_normalized, original.attribute_names)
+    agg_normalized = (aggregated.values[:, columns] - params.offset) / params.scale
+    report = build_report(normalized, agg_normalized, names)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "metrics.json", report.to_json_dict())
     return 0
@@ -299,7 +316,8 @@ def main(argv=None) -> int:
         if args.command == "aggregate":
             return cmd_aggregate(config)
         return cmd_pathway(config)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # OSError: creating the output directory or writing an artifact
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConfigError as exc:

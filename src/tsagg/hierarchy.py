@@ -1,21 +1,16 @@
-"""Agglomerative Ward clustering, optionally restricted to adjacent samples.
+"""Deterministic agglomerative Ward clustering of whole periods.
 
-One implementation serves both uses in the pipeline: grouping whole periods
-into typical periods (unconstrained) and merging neighbouring time steps
-into segments (chain connectivity). Sample distance is the summed squared
-attribute difference, d(i, j) = sum_a (x[i, a] - x[j, a])^2; cluster
-distances evolve by the Lance-Williams recurrence for Ward's
-minimum-variance criterion, so for two singletons the merge cost equals
-d(i, j) and in general it is proportional to the within-cluster variance
-increase of the merge.
+Sample distance is the summed squared attribute difference,
+d(i, j) = sum_a (x[i, a] - x[j, a])^2; cluster distances evolve by the
+Lance-Williams recurrence for Ward's minimum-variance criterion, so for two
+singletons the merge cost equals d(i, j) and in general it is proportional
+to the within-cluster variance increase of the merge. Unconstrained Ward
+costs never decrease between consecutive merges. (Time steps inside a
+period are merged by the chain routine in the segmentation module.)
 
 Determinism: cluster ids are 0..n-1 for the input samples and n+m for the
 cluster created by merge m. Among equal-cost candidate merges the pair
 with the lexicographically smallest (id_a, id_b), id_a < id_b, wins.
-Under a connectivity constraint only pairs of clusters containing at least
-one allowed sample pair may merge, and a merged cluster inherits the union
-of its parents' neighbour relations. Constrained merge costs may invert
-(decrease between consecutive merges); unconstrained Ward costs never do.
 """
 
 from __future__ import annotations
@@ -23,47 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataError
-
-
-@dataclass(frozen=True)
-class Connectivity:
-    """Symmetric allowed-merge relation over samples (boolean matrix)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=bool)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DataError(f"connectivity matrix must be square, got {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise DataError("connectivity matrix must be symmetric")
-        m = m.copy()
-        np.fill_diagonal(m, False)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def chain(cls, n: int) -> "Connectivity":
-        """Adjacency of consecutive indices: i may merge with i-1 and i+1."""
-        m = np.zeros((n, n), dtype=bool)
-        idx = np.arange(n - 1)
-        m[idx, idx + 1] = True
-        m[idx + 1, idx] = True
-        return cls(m)
-
-    @property
-    def n_samples(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        n, _ = connected_components(csr_matrix(self.matrix), directed=False)
-        return int(n)
 
 
 @dataclass(frozen=True)
@@ -80,17 +37,12 @@ class Linkage:
 
     n_samples: int
     merges: tuple[Merge, ...]
-    n_components: int = 1
 
     def cut(self, k: int) -> "ClusterResult":
         """Partition into k clusters by replaying the first n - k merges."""
         n = self.n_samples
         if not 1 <= k <= n:
             raise ConfigError(f"k={k} out of range [1, {n}]")
-        if k < self.n_components:
-            raise ConfigError(
-                f"cannot form {k} clusters: connectivity graph has "
-                f"{self.n_components} components")
         n_merges = n - k
         parent = np.arange(n + n_merges)
         for m, merge in enumerate(self.merges[:n_merges]):
@@ -131,12 +83,8 @@ class ClusterResult:
         return np.flatnonzero(self.assignment == cluster)
 
 
-def ward_linkage(samples: np.ndarray, connectivity: Connectivity | None = None) -> Linkage:
-    """Build the full merge history for the given samples.
-
-    Runs until one cluster per connected component remains (n - 1 merges
-    for connected or unconstrained inputs).
-    """
+def ward_linkage(samples: np.ndarray) -> Linkage:
+    """Build the full merge history (n - 1 merges) for the given samples."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples.reshape(-1, 1)
@@ -145,11 +93,7 @@ def ward_linkage(samples: np.ndarray, connectivity: Connectivity | None = None) 
     n = samples.shape[0]
     if n == 0:
         raise DataError("no samples to cluster")
-    if connectivity is not None and connectivity.n_samples != n:
-        raise DataError(
-            f"connectivity is over {connectivity.n_samples} samples, data has {n}")
-    n_comp = connectivity.n_components if connectivity is not None else 1
-    n_merges = n - n_comp
+    n_merges = n - 1
     total = n + n_merges
 
     size = np.zeros(total, dtype=np.float64)
@@ -157,25 +101,15 @@ def ward_linkage(samples: np.ndarray, connectivity: Connectivity | None = None) 
     # full symmetric Lance-Williams distances among active clusters
     dist = np.full((total, total), np.inf)
     dist[:n, :n] = cdist(samples, samples, "sqeuclidean")
-    if connectivity is None:
-        allowed = np.ones((total, total), dtype=bool)
-        np.fill_diagonal(allowed, False)
-        allowed[n:, :] = allowed[:, n:] = False
-    else:
-        allowed = np.zeros((total, total), dtype=bool)
-        allowed[:n, :n] = connectivity.matrix
-    # search matrix: upper triangle of allowed active pairs, inf elsewhere
+    # search matrix: upper triangle of active pairs, inf elsewhere
     search = np.full((total, total), np.inf)
     iu = np.triu_indices(n, k=1)
-    search[:n, :n][iu] = np.where(allowed[:n, :n][iu], dist[:n, :n][iu], np.inf)
+    search[:n, :n][iu] = dist[:n, :n][iu]
 
     merges = []
     for step in range(n_merges):
         flat = int(np.argmin(search))
         i, j = divmod(flat, total)
-        cost = search[i, j]
-        if not np.isfinite(cost):
-            raise AssertionError("ran out of allowed merges before reaching components")
         q = n + step
         size[q] = size[i] + size[j]
         merges.append(Merge(id_a=i, id_b=j, cost=float(dist[i, j]), size=int(size[q])))
@@ -188,27 +122,23 @@ def ward_linkage(samples: np.ndarray, connectivity: Connectivity | None = None) 
                  - nm * dist[i, j]) / (size[i] + size[j] + nm)
         dist[q, others] = new_d
         dist[others, q] = new_d
-        new_allowed = np.zeros(total, dtype=bool)
-        new_allowed[others] = allowed[i, others] | allowed[j, others]
-        allowed[q, :] = new_allowed
-        allowed[:, q] = new_allowed
         search[i, :] = np.inf
         search[:, i] = np.inf
         search[j, :] = np.inf
         search[:, j] = np.inf
-        search[:q, q] = np.where(new_allowed[:q], dist[:q, q], np.inf)
+        # inactive clusters keep an inf distance to q
+        search[:q, q] = dist[:q, q]
         size[i] = size[j] = 0.0
-    return Linkage(n_samples=n, merges=tuple(merges), n_components=n_comp)
+    return Linkage(n_samples=n, merges=tuple(merges))
 
 
-def ward_cluster(samples: np.ndarray, k: int,
-                 connectivity: Connectivity | None = None) -> ClusterResult:
+def ward_cluster(samples: np.ndarray, k: int) -> ClusterResult:
     """Cluster samples into k groups under Ward's criterion."""
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.shape[0]
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} out of range [1, {n}]")
-    return ward_linkage(samples, connectivity).cut(k)
+    return ward_linkage(samples).cut(k)
 
 
 def medoid_of(samples: np.ndarray, members) -> int:

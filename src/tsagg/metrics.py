@@ -54,10 +54,11 @@ def reconstruct(frame: PeriodFrame, clusters: ClusterResult,
             f"assignment covers {clusters.n_samples} periods, frame has {frame.n_periods}")
     if reps.k != clusters.k:
         raise DataError(f"{reps.k} representatives for {clusters.k} clusters")
+    expanded = reps.profiles
     if reps.segments is not None:
-        expanded = np.stack([reps.segments.expand(c) for c in range(reps.k)])
-    else:
-        expanded = reps.profiles
+        layout = reps.segments
+        expanded = np.repeat(layout.values.reshape(-1, reps.n_attributes),
+                             layout.lengths.ravel(), axis=0).reshape(expanded.shape)
     rec = expanded[clusters.assignment]
     return rec.reshape(frame.n_periods * frame.steps_per_period, frame.n_attributes)
 

@@ -20,12 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .core import PeriodFrame
 from .errors import ConfigError
 from .hierarchy import ClusterResult, Linkage, ward_linkage
 from .metrics import reconstruct, rmse_tot
 from .representation import RepresentativeSet, represent
-from .segmentation import SegmentLayout, cut_segments, segment_linkage
+from .segmentation import cut_layout, segment_linkage
 
 MORE_PERIODS = "more_periods"
 MORE_SEGMENTS = "more_segments"
@@ -89,9 +91,10 @@ class ConfigEvaluator:
     """Caches the pipeline stages shared between configurations.
 
     The period linkage is built once; cluster cuts, representatives, and
-    per-representative segment linkages are cached per typical-period
-    count, and full evaluations per (p, s). All stages are deterministic,
-    so cached results are identical to recomputed ones.
+    the segment merge order of all representatives (one (p, steps - 1)
+    rank array) are cached per typical-period count, and full evaluations
+    per (p, s). All stages are deterministic, so cached results are
+    identical to recomputed ones.
     """
 
     def __init__(self, frame: PeriodFrame, method: str):
@@ -101,7 +104,7 @@ class ConfigEvaluator:
         self._original = frame.unrolled()
         self._clusters: dict[int, ClusterResult] = {}
         self._reps: dict[int, RepresentativeSet] = {}
-        self._seg_linkages: dict[int, list[Linkage]] = {}
+        self._seg_ranks: dict[int, np.ndarray] = {}
         self._states: dict[tuple[int, int], PathwayState] = {}
 
     def clusters(self, p: int) -> ClusterResult:
@@ -116,18 +119,9 @@ class ConfigEvaluator:
 
     def segmented(self, p: int, s: int) -> RepresentativeSet:
         reps = self.representatives(p)
-        if p not in self._seg_linkages:
-            self._seg_linkages[p] = [
-                segment_linkage(reps.profiles[c]) for c in range(reps.k)
-            ]
-        layout = SegmentLayout(
-            steps_per_period=self.frame.steps_per_period,
-            periods=tuple(
-                cut_segments(reps.profiles[c], self._seg_linkages[p][c], s)
-                for c in range(reps.k)
-            ),
-        )
-        return replace(reps, segments=layout)
+        if p not in self._seg_ranks:
+            self._seg_ranks[p] = segment_linkage(reps.profiles)
+        return replace(reps, segments=cut_layout(reps.profiles, self._seg_ranks[p], s))
 
     def evaluate(self, p: int, s: int) -> PathwayState:
         key = (p, s)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from tsagg.core import normalize, to_periods, validate_and_build
+from tsagg.segmentation import cut_layout, segment_linkage
 
 
 def build_frame(values, steps_per_period, norm="minmax"):
@@ -20,3 +21,16 @@ def build_frame(values, steps_per_period, norm="minmax"):
 
 def random_matrix(rng, n_steps, n_attrs, spread=1.0):
     return spread * rng.standard_normal((n_steps, n_attrs))
+
+
+def segment_one(profile, n_segments):
+    """Chain-segment one profile (steps, or steps x N_a) into a layout of k=1."""
+    profile = np.asarray(profile, dtype=np.float64)
+    profiles = profile.reshape(1, profile.shape[0], -1)
+    return cut_layout(profiles, segment_linkage(profiles), n_segments)
+
+
+def chain_partition(profile, n_segments):
+    """Per-step segment labels 0..n_segments-1 of one chain-segmented profile."""
+    lengths = segment_one(profile, n_segments).lengths[0]
+    return np.repeat(np.arange(n_segments), lengths)

@@ -58,6 +58,14 @@ def naive_ward(samples, connectivity=None):
     return merges
 
 
+def chain_matrix(n):
+    """Connectivity of a chain: i may merge with i - 1 and i + 1."""
+    m = np.zeros((n, n), dtype=bool)
+    idx = np.arange(n - 1)
+    m[idx, idx + 1] = m[idx + 1, idx] = True
+    return m
+
+
 def naive_cut(n, merges, k):
     """Partition after the first n - k merges, labelled by first appearance."""
     parent = {}

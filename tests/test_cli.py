@@ -141,6 +141,33 @@ class TestAggregate:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_byte_order_mark_with_timestamp(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        lines = ["timestamp,load"] + [f"t{i},{float(i % 24)}" for i in range(48)]
+        path.write_bytes("\n".join(lines).encode("utf-8-sig") + b"\n")
+        out = tmp_path / "out"
+        code = main(["aggregate", "--input", str(path), "--out-dir", str(out),
+                     "--period-length", "24", "--typical-periods", "1"])
+        assert code == 0
+        assert read_rows(out / "representatives.csv")[0].keys() >= {"load"}
+
+    def test_nonfinite_value_reports_file_line(self, tmp_path, capsys):
+        path = tmp_path / "nan.csv"
+        path.write_text("load\n1.0\n2.0\n3.0\n4.0\nnan\n6.0\n")
+        code = main(["aggregate", "--input", str(path), "--out-dir",
+                     str(tmp_path / "out"), "--period-length", "1",
+                     "--typical-periods", "1"])
+        assert code == 2
+        assert "line 6" in capsys.readouterr().err
+
+    def test_out_dir_is_a_file(self, year_csv, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        code = main(["aggregate", "--input", str(year_csv), "--out-dir", str(blocker),
+                     "--period-length", "24", "--typical-periods", "2"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_file(self, tmp_path):
         code = main(["aggregate", "--input", str(tmp_path / "nope.csv"),
                      "--out-dir", str(tmp_path / "out"), "--period-length", "24",
@@ -227,6 +254,26 @@ class TestMetricsCommand:
         metrics = json.loads((out / "metrics.json").read_text())
         # minmax scale of the original is 10, so the offset is 0.25 normalized
         assert abs(metrics["rmse_tot"] - 0.25) < 1e-9
+
+    def test_columns_aligned_by_name(self, tmp_path):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((30, 2))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(a, values, ["load", "pv"])
+        write_csv(b, values[:, ::-1], ["pv", "load"])
+        out = tmp_path / "out"
+        code = main(["metrics", "--input", str(a), "--aggregated", str(b),
+                     "--out-dir", str(out)])
+        assert code == 0
+        assert json.loads((out / "metrics.json").read_text())["rmse_tot"] == 0.0
+
+    def test_different_column_names_rejected(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_csv(a, np.zeros((10, 2)), ["load", "pv"])
+        write_csv(b, np.zeros((10, 2)), ["load", "wind"])
+        code = main(["metrics", "--input", str(a), "--aggregated", str(b),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
 
     def test_shape_mismatch(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import Connectivity, medoid_of, ward_cluster, ward_linkage
+from tsagg.hierarchy import medoid_of, ward_cluster, ward_linkage
 
-from reference import best_partition, naive_cut, naive_ward
+from helpers import chain_partition, segment_one
+from reference import best_partition, chain_matrix, naive_cut, naive_ward
 
 
 def assert_same_partition(a, b):
@@ -27,9 +28,8 @@ class TestWardExamples:
 
     def test_chain_two_plateaus(self):
         samples = np.array([0.0, 0.0, 10.0, 10.0])
-        result = ward_cluster(samples, 2, Connectivity.chain(4))
         expected, _ = best_partition(samples, 2, contiguous=True)
-        assert_same_partition(result.assignment, expected)
+        assert_same_partition(chain_partition(samples, 2), expected)
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -37,32 +37,9 @@ class TestWardExamples:
         with pytest.raises(ConfigError):
             ward_cluster(np.zeros((3, 1)), 4)
 
-    def test_disconnected_names_component_count(self):
-        conn = Connectivity(np.zeros((4, 4), dtype=bool))
-        with pytest.raises(ConfigError, match="4 components"):
-            ward_cluster(np.arange(4.0), 2, conn)
-
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(DataError):
             ward_cluster(np.array([0.0, np.nan]), 1)
-
-
-class TestConnectivity:
-    def test_chain_neighbour_counts(self):
-        conn = Connectivity.chain(5)
-        degrees = conn.matrix.sum(axis=1)
-        assert degrees.tolist() == [1, 2, 2, 2, 1]
-
-    def test_asymmetric_rejected(self):
-        m = np.zeros((3, 3), dtype=bool)
-        m[0, 1] = True
-        with pytest.raises(DataError):
-            Connectivity(m)
-
-    def test_components(self):
-        m = np.zeros((4, 4), dtype=bool)
-        m[0, 1] = m[1, 0] = True
-        assert Connectivity(m).n_components == 3
 
 
 class TestOracleEquivalence:
@@ -87,13 +64,10 @@ class TestOracleEquivalence:
         for _ in range(30):
             n = int(rng.integers(2, 9))
             samples = rng.standard_normal((n, 2))
-            conn = Connectivity.chain(n)
-            linkage = ward_linkage(samples, conn)
-            expected = naive_ward(samples, conn.matrix)
-            assert [(m.id_a, m.id_b) for m in linkage.merges] == \
-                [(a, b) for a, b, _, _ in expected]
+            expected = naive_ward(samples, chain_matrix(n))
+            # the partitions at every k fix a chain's merge sequence
             for k in range(1, n + 1):
-                assert_same_partition(linkage.cut(k).assignment,
+                assert_same_partition(chain_partition(samples, k),
                                       naive_cut(n, expected, k))
 
 
@@ -120,12 +94,17 @@ class TestLinkageProperties:
         rng = np.random.default_rng(3)
         for _ in range(10):
             n = int(rng.integers(3, 15))
-            linkage = ward_linkage(rng.standard_normal((n, 2)), Connectivity.chain(n))
+            samples = rng.standard_normal((n, 2))
+            previous = set()
             for k in range(1, n + 1):
-                assignment = linkage.cut(k).assignment
-                # contiguous intervals <=> labels change exactly k - 1 times
-                changes = int((np.diff(assignment) != 0).sum())
-                assert changes == k - 1
+                lengths = segment_one(samples, k).lengths[0]
+                # k non-empty runs in step order that tile the chain
+                assert lengths.size == k and np.all(lengths >= 1)
+                assert lengths.sum() == n
+                # one more segment keeps every boundary and adds one
+                bounds = set(np.cumsum(lengths)[:-1].tolist())
+                assert previous <= bounds and len(bounds) == k - 1
+                previous = bounds
 
     def test_successive_cuts_differ_by_one_split(self):
         rng = np.random.default_rng(4)

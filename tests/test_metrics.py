@@ -50,9 +50,9 @@ class TestReconstruct:
         reps = segment_representatives(represent(frame, clusters, "centroid"), 5)
         rec = reconstruct(frame, clusters, reps).reshape(4, 24)
         for p in range(4):
-            segs = reps.segments.periods[clusters.assignment[p]]
-            for seg in segs:
-                run = rec[p, seg.start_step:seg.start_step + seg.length_steps]
+            lengths = reps.segments.lengths[clusters.assignment[p]]
+            for start, length in zip(np.cumsum(lengths) - lengths, lengths):
+                run = rec[p, start:start + length]
                 assert np.all(run == run[0])
 
     def test_shape_mismatch_rejected(self):

@@ -1,68 +1,80 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import ConfigError
 from tsagg.hierarchy import ward_cluster
 from tsagg.representation import represent_centroid
-from tsagg.segmentation import segment_period, segment_representatives
+from tsagg.segmentation import cut_layout, segment_linkage, segment_representatives
 
-from helpers import build_frame
-from reference import best_partition
+from helpers import build_frame, chain_partition, segment_one
+from reference import best_partition, chain_matrix, naive_cut, naive_ward
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
 
-def layout_of(segments):
-    return [(s.start_step, s.length_steps) for s in segments]
+def layout_of(layout, c=0):
+    """(start_step, length_steps) of every segment of period c."""
+    lengths = layout.lengths[c].tolist()
+    starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).tolist()
+    return list(zip(starts, lengths))
+
+
+@st.composite
+def tie_heavy_profiles(draw):
+    """Integer steps in 0..2 with repeated steps and constant attributes."""
+    n = draw(st.integers(2, 8))
+    n_attrs = draw(st.integers(1, 3))
+    pool = draw(arrays(np.int64, (draw(st.integers(1, n)), n_attrs),
+                       elements=st.integers(0, 2)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    profile = pool[picks].astype(np.float64)
+    if draw(st.booleans()):
+        profile[:, draw(st.integers(0, n_attrs - 1))] = draw(st.integers(0, 2))
+    return profile
 
 
 class TestSegmentPeriod:
     def test_identity_segmentation(self):
         profile = np.arange(8.0).reshape(4, 2)
-        segments = segment_period(profile, 4)
-        assert layout_of(segments) == [(0, 1), (1, 1), (2, 1), (3, 1)]
-        for t, seg in enumerate(segments):
-            np.testing.assert_array_equal(seg.values, profile[t])
+        layout = segment_one(profile, 4)
+        assert layout_of(layout) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+        np.testing.assert_array_equal(layout.values[0], profile)
 
     def test_single_segment_is_mean(self):
         profile = np.array([[0.0, 2.0], [4.0, 6.0]])
-        segments = segment_period(profile, 1)
-        assert layout_of(segments) == [(0, 2)]
-        np.testing.assert_array_equal(segments[0].values, [2.0, 4.0])
+        layout = segment_one(profile, 1)
+        assert layout_of(layout) == [(0, 2)]
+        np.testing.assert_array_equal(layout.values[0, 0], [2.0, 4.0])
 
     def test_two_plateaus(self):
-        segments = segment_period(np.array([0.0, 0.0, 10.0, 10.0]), 2)
-        assert layout_of(segments) == [(0, 2), (2, 2)]
-        assert segments[0].values[0] == 0.0
-        assert segments[1].values[0] == 10.0
+        layout = segment_one(np.array([0.0, 0.0, 10.0, 10.0]), 2)
+        assert layout_of(layout) == [(0, 2), (2, 2)]
+        assert layout.values[0, 0, 0] == 0.0
+        assert layout.values[0, 1, 0] == 10.0
         expected, _ = best_partition(np.array([0.0, 0.0, 10.0, 10.0]), 2,
                                      contiguous=True)
-        boundaries = [s.start_step for s in segments[1:]]
-        assert boundaries == [int(np.flatnonzero(np.diff(expected))[0]) + 1]
+        assert layout_of(layout)[1][0] == int(np.flatnonzero(np.diff(expected))[0]) + 1
 
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
-            segment_period(np.zeros((4, 1)), 0)
+            segment_one(np.zeros((4, 1)), 0)
         with pytest.raises(ConfigError):
-            segment_period(np.zeros((4, 1)), 5)
+            segment_one(np.zeros((4, 1)), 5)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 10), st.integers(1, 3), st.data())
     def test_partition_and_mean_conservation(self, steps, n_attrs, data):
         profile = data.draw(arrays(np.float64, (steps, n_attrs), elements=finite))
         n_segments = data.draw(st.integers(1, steps))
-        segments = segment_period(profile, n_segments)
-        assert len(segments) == n_segments
-        assert sum(s.length_steps for s in segments) == steps
-        pos = 0
-        for seg in segments:
-            assert seg.start_step == pos
-            pos += seg.length_steps
+        layout = segment_one(profile, n_segments)
+        assert layout.n_segments == n_segments
+        assert layout.lengths.sum() == steps
+        assert np.all(layout.lengths >= 1)
         for a in range(n_attrs):
-            weighted = sum(s.length_steps * s.values[a] for s in segments) / steps
+            weighted = (layout.lengths[0] * layout.values[0, :, a]).sum() / steps
             assert abs(weighted - profile[:, a].mean()) < 1e-12 * max(
                 1.0, np.abs(profile[:, a]).max())
 
@@ -71,13 +83,56 @@ class TestSegmentPeriod:
     def test_refinement_splits_one_segment(self, steps, data):
         profile = data.draw(arrays(np.float64, (steps, 1), elements=finite))
         for s in range(1, steps):
-            coarse = {(seg.start_step, seg.length_steps)
-                      for seg in segment_period(profile, s)}
-            fine = {(seg.start_step, seg.length_steps)
-                    for seg in segment_period(profile, s + 1)}
+            coarse = set(layout_of(segment_one(profile, s)))
+            fine = set(layout_of(segment_one(profile, s + 1)))
             # hierarchical nesting: all but one coarse segment survive
             assert len(coarse - fine) == 1
             assert len(fine - coarse) == 2
+
+    def test_segment_values_are_exact_means(self):
+        # bit for bit the plain per-segment mean, also for runs of 3+ steps
+        rng = np.random.default_rng(5)
+        checked = 0
+        for n_attrs in (1, 3):
+            profiles = 7.3 * rng.standard_normal((20, 24, n_attrs))
+            ranks = segment_linkage(profiles)
+            for s in range(1, 9):
+                layout = cut_layout(profiles, ranks, s)
+                for c in range(20):
+                    for j, (start, length) in enumerate(layout_of(layout, c)):
+                        if length < 3:
+                            continue
+                        expected = profiles[c, start:start + length].mean(axis=0)
+                        assert layout.values[c, j].tobytes() == expected.tobytes()
+                        checked += 1
+        assert checked > 500
+
+
+class TestChainOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_profiles())
+    @example(np.array([[2.0], [0.0], [2.0], [1.0], [1.0], [0.0]]))
+    # an exact tie that a cost summed without the oracle's dot product breaks
+    @example(np.array([[1.0, 0], [0, 1], [0, 1], [2, 1], [1, 0], [1, 0], [2, 1], [1, 2]]))
+    def test_tie_heavy_matches_naive(self, profile):
+        n = profile.shape[0]
+        expected = naive_ward(profile, chain_matrix(n))
+        for s in range(1, n + 1):
+            np.testing.assert_array_equal(chain_partition(profile, s),
+                                          naive_cut(n, expected, s))
+
+    def test_batch_equals_one_profile_at_a_time(self):
+        rng = np.random.default_rng(6)
+        profiles = rng.integers(0, 3, (30, 12, 2)).astype(np.float64)
+        ranks = segment_linkage(profiles)
+        for c in range(30):
+            np.testing.assert_array_equal(ranks[c], segment_linkage(profiles[c:c + 1])[0])
+
+    def test_ranks_are_a_merge_order(self):
+        ranks = segment_linkage(np.random.default_rng(7).standard_normal((5, 24, 3)))
+        assert ranks.shape == (5, 23)
+        for row in ranks:
+            assert sorted(row.tolist()) == list(range(23))
 
 
 class TestSegmentRepresentatives:
@@ -86,17 +141,16 @@ class TestSegmentRepresentatives:
         frame = build_frame(rng.standard_normal((8760, 1)), 24)
         clusters = ward_cluster(frame.rows, 8)
         reps = segment_representatives(represent_centroid(frame, clusters), 8)
-        total = sum(len(p) for p in reps.segments.periods)
-        assert total == 64
+        assert reps.segments.lengths.shape == (8, 8)
+        assert reps.segments.values.shape == (8, 8, 1)
 
     def test_identity_keeps_profiles(self):
         rng = np.random.default_rng(1)
         frame = build_frame(rng.standard_normal((48, 2)), 12)
         clusters = ward_cluster(frame.rows, 2)
         reps = segment_representatives(represent_centroid(frame, clusters), 12)
-        for c in range(2):
-            assert all(s.length_steps == 1 for s in reps.segments.periods[c])
-            np.testing.assert_array_equal(reps.segments.expand(c), reps.profiles[c])
+        assert np.all(reps.segments.lengths == 1)
+        np.testing.assert_array_equal(reps.segments.values, reps.profiles)
 
     def test_identical_periods_get_identical_layouts(self):
         rng = np.random.default_rng(2)
@@ -104,4 +158,4 @@ class TestSegmentRepresentatives:
         frame = build_frame(np.vstack([day, day]), 24)
         clusters = ward_cluster(frame.rows, 2)
         reps = segment_representatives(represent_centroid(frame, clusters), 5)
-        assert layout_of(reps.segments.periods[0]) == layout_of(reps.segments.periods[1])
+        assert layout_of(reps.segments, 0) == layout_of(reps.segments, 1)
