@@ -11,12 +11,9 @@ import argparse
 import csv
 from pathlib import Path
 
-from tsagg.core import normalize, to_periods, validate_and_build
-from tsagg.hierarchy import ward_linkage
-from tsagg.metrics import duration_curve_rmse, reconstruct, rmse_tot
-from tsagg.pathway import build_grid
-from tsagg.representation import represent
-from tsagg.segmentation import segment_representatives
+from tsagg.core import build_frame
+from tsagg.metrics import duration_curve_rmse, rmse_tot
+from tsagg.pathway import ConfigEvaluator, build_grid
 from tsagg.synthetic import load_profile
 
 METHODS = ("centroid", "medoid", "distribution")
@@ -29,21 +26,16 @@ def main():
     parser.add_argument("--out", type=Path, default=Path("duration_sweep.csv"))
     args = parser.parse_args()
 
-    ts = validate_and_build(load_profile(args.days, seed=args.seed), ["load"], 1.0)
-    normalized, params = normalize(ts, "minmax")
-    frame = to_periods(normalized, 24, params)
+    frame = build_frame(load_profile(args.days, seed=args.seed), ["load"], 24)
     original = frame.unrolled()
-    linkage = ward_linkage(frame.rows)
+    evaluators = {method: ConfigEvaluator(frame, method) for method in METHODS}
 
     with args.out.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["typical_days", "method", "rmse_tot", "duration_rmse"])
         for k in build_grid(frame.n_periods):
-            clusters = linkage.cut(k)
-            for method in METHODS:
-                reps = segment_representatives(
-                    represent(frame, clusters, method), 24)
-                rec = reconstruct(frame, clusters, reps)
+            for method, evaluator in evaluators.items():
+                _, _, rec = evaluator.reconstruction(k, 24)
                 writer.writerow([
                     k, method,
                     f"{rmse_tot(original, rec):.12g}",

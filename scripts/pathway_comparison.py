@@ -11,18 +11,12 @@ import argparse
 import csv
 from pathlib import Path
 
-from tsagg.core import normalize, to_periods, validate_and_build
-from tsagg.pathway import pathway_search
+from tsagg.core import build_frame
+from tsagg.pathway import ConfigEvaluator, pathway_search
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
 PROFILES = {"solar": solar_profile, "wind": wind_profile, "load": load_profile}
 METHODS = ("centroid", "medoid", "distribution")
-
-
-def build_frame(values, name):
-    ts = validate_and_build(values, [name], 1.0)
-    normalized, params = normalize(ts, "minmax")
-    return to_periods(normalized, 24, params)
 
 
 def main():
@@ -34,9 +28,9 @@ def main():
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for name, gen in PROFILES.items():
-        frame = build_frame(gen(args.days, seed=args.seed), name)
+        frame = build_frame(gen(args.days, seed=args.seed), [name], 24)
         for method in METHODS:
-            trace = pathway_search(frame, method)
+            trace = pathway_search(ConfigEvaluator(frame, method))
             out = args.out_dir / f"{name}_{method}.csv"
             with out.open("w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")

@@ -4,6 +4,7 @@ from .core import (
     NormParams,
     PeriodFrame,
     TimeSeriesSet,
+    build_frame,
     denormalize,
     normalize,
     to_periods,
@@ -24,17 +25,10 @@ from .pathway import (
     PathwayState,
     PathwayTrace,
     build_grid,
-    evaluate_config,
     pathway_search,
     select_config,
 )
-from .representation import (
-    RepresentativeSet,
-    represent,
-    represent_centroid,
-    represent_distribution,
-    represent_medoid,
-)
+from .representation import RepresentativeSet, represent
 from .segmentation import SegmentLayout, segment_representatives
 
 __all__ = [
@@ -52,19 +46,16 @@ __all__ = [
     "SegmentLayout",
     "TimeSeriesSet",
     "attribute_rmse",
+    "build_frame",
     "build_grid",
     "build_report",
     "denormalize",
     "duration_curve_rmse",
-    "evaluate_config",
     "medoid_of",
     "normalize",
     "pathway_search",
     "reconstruct",
     "represent",
-    "represent_centroid",
-    "represent_distribution",
-    "represent_medoid",
     "rmse_tot",
     "segment_representatives",
     "select_config",

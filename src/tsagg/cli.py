@@ -17,49 +17,26 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
     NORMALIZATION_METHODS,
-    TimeSeriesSet,
+    build_frame,
     denormalize,
     normalize,
-    to_periods,
     validate_and_build,
 )
 from .errors import ConfigError, DataError
 from .hierarchy import ClusterResult
-from .metrics import build_report, reconstruct
+from .metrics import build_report
 from .pathway import ConfigEvaluator, PathwayTrace, pathway_search, select_config
 from .representation import REPRESENTATION_METHODS, RepresentativeSet
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved command-line options for one run."""
-
-    input_path: Path
-    out_dir: Path
-    period_length: int
-    typical_periods: int | None = None
-    segments: int | None = None
-    representation: str = "distribution"
-    normalization: str = "minmax"
-    budget: int | None = None
-    drop_trailing: bool = False
-
-
 def _fmt(value) -> str:
     return f"{float(value):.12g}"
-
-
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 def _round_floats(obj):
@@ -74,13 +51,15 @@ def _round_floats(obj):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_round_floats(payload), indent=2, sort_keys=True,
-                      default=_json_default)
+    text = json.dumps(_round_floats(payload), indent=2, sort_keys=True)
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def read_csv(path: Path) -> TimeSeriesSet:
-    """Parse a time-series CSV; errors name the offending line."""
+def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
+    """Parse a time-series CSV into values and attribute names.
+
+    Errors name the offending line.
+    """
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
@@ -96,7 +75,6 @@ def read_csv(path: Path) -> TimeSeriesSet:
     if not names:
         raise DataError(f"{path}: header declares no attribute columns (line 1)")
     rows = []
-    origin = None
     for line_no, row in enumerate(reader, start=2):
         if not row:
             raise DataError(f"{path}: blank line {line_no}")
@@ -104,8 +82,6 @@ def read_csv(path: Path) -> TimeSeriesSet:
             raise DataError(
                 f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}")
         cells = row[1:] if has_timestamp else row
-        if has_timestamp and origin is None:
-            origin = row[0].strip()
         try:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
@@ -118,26 +94,25 @@ def read_csv(path: Path) -> TimeSeriesSet:
         t, a = bad[0]
         raise DataError(
             f"{path}: line {t + 2}: non-finite value in column {names[a]!r}")
-    return validate_and_build(values, names, resolution_hours=1.0,
-                              origin_timestamp=origin)
+    return values, names
 
 
 def write_representatives(path: Path, reps: RepresentativeSet,
-                          ts: TimeSeriesSet, norm_params) -> None:
+                          names, norm_params) -> None:
     """One row per (cluster, segment), values denormalized."""
     if reps.segments is None:
         raise DataError("representatives carry no segment layout")
+    layout = reps.segments
+    values = denormalize(layout.values.reshape(-1, reps.n_attributes),
+                         norm_params).reshape(layout.values.shape).tolist()
+    weights, lengths = reps.weights.tolist(), layout.lengths.tolist()
+    # '%.12g' % x prints exactly what _fmt(x) prints
+    row = "%d,%d,%d,%d" + ",%.12g" * reps.n_attributes + "\n"
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["cluster_id", "weight", "segment_id", "duration_steps",
-                         *ts.attribute_names])
-        layout = reps.segments
-        values = denormalize(layout.values.reshape(-1, reps.n_attributes),
-                             norm_params).reshape(layout.values.shape)
-        for c in range(reps.k):
-            for si in range(layout.n_segments):
-                writer.writerow([c, int(reps.weights[c]), si, int(layout.lengths[c, si]),
-                                 *(_fmt(v) for v in values[c, si])])
+        csv.writer(fh, lineterminator="\n").writerow(
+            ["cluster_id", "weight", "segment_id", "duration_steps", *names])
+        fh.writelines(row % (c, weights[c], si, lengths[c][si], *values[c][si])
+                      for c in range(reps.k) for si in range(layout.n_segments))
 
 
 def write_mapping(path: Path, clusters: ClusterResult) -> None:
@@ -163,67 +138,58 @@ def write_pathway(path: Path, trace: PathwayTrace) -> None:
             ])
 
 
-def _prepare(config: RunConfig):
-    ts = read_csv(config.input_path)
-    normalized, params = normalize(ts, config.normalization)
-    frame = to_periods(normalized, config.period_length, params,
-                       drop_trailing=config.drop_trailing)
+def _prepare(args: argparse.Namespace):
+    values, names = read_csv(args.input)
+    frame = build_frame(values, names, args.period_length, args.normalization,
+                        args.drop_trailing)
     if frame.dropped_steps:
         print(f"note: dropped {frame.dropped_steps} trailing step(s)",
               file=sys.stderr)
-    return ts, frame
+    return names, ConfigEvaluator(frame, args.representation)
 
 
-def _aggregate(ts: TimeSeriesSet, frame, evaluator: ConfigEvaluator,
-               p: int, s: int, out_dir: Path) -> None:
-    clusters = evaluator.clusters(p)
-    reps = evaluator.segmented(p, s)
-    rec = reconstruct(frame, clusters, reps)
-    report = build_report(frame.unrolled(), rec, ts.attribute_names,
-                          total_steps=p * s)
+def _aggregate(names, evaluator: ConfigEvaluator, p: int, s: int,
+               out_dir: Path) -> None:
+    frame = evaluator.frame
+    clusters, reps, rec = evaluator.reconstruction(p, s)
+    report = build_report(frame.unrolled(), rec, names, total_steps=p * s)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_representatives(out_dir / "representatives.csv", reps, ts,
+    write_representatives(out_dir / "representatives.csv", reps, names,
                           frame.norm_params)
     write_mapping(out_dir / "mapping.csv", clusters)
     write_json(out_dir / "metrics.json", report.to_json_dict())
 
 
-def cmd_aggregate(config: RunConfig) -> int:
-    if config.typical_periods is None:
-        raise ConfigError("--typical-periods is required for aggregate")
-    ts, frame = _prepare(config)
-    s = config.segments if config.segments is not None else frame.steps_per_period
-    evaluator = ConfigEvaluator(frame, config.representation)
-    evaluator.evaluate(config.typical_periods, s)
-    _aggregate(ts, frame, evaluator, config.typical_periods, s, config.out_dir)
+def cmd_aggregate(args: argparse.Namespace) -> int:
+    names, evaluator = _prepare(args)
+    s = args.segments if args.segments is not None else evaluator.frame.steps_per_period
+    _aggregate(names, evaluator, args.typical_periods, s, args.out_dir)
     return 0
 
 
-def cmd_pathway(config: RunConfig) -> int:
-    ts, frame = _prepare(config)
-    evaluator = ConfigEvaluator(frame, config.representation)
-    trace = pathway_search(frame, config.representation,
-                           max_total_steps=config.budget, evaluator=evaluator)
-    selected = (select_config(trace, config.budget)
-                if config.budget is not None else trace.final)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_pathway(config.out_dir / "pathway.csv", trace)
-    write_json(config.out_dir / "selected.json", {
+def cmd_pathway(args: argparse.Namespace) -> int:
+    names, evaluator = _prepare(args)
+    trace = pathway_search(evaluator, max_total_steps=args.budget)
+    selected = (select_config(trace, args.budget)
+                if args.budget is not None else trace.final)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    write_pathway(args.out_dir / "pathway.csv", trace)
+    write_json(args.out_dir / "selected.json", {
         "typical_periods": selected.p,
         "segments": selected.s,
         "total_steps": selected.total_steps,
         "rmse_tot": selected.rmse,
-        "budget": config.budget,
+        "budget": args.budget,
     })
-    _aggregate(ts, frame, evaluator, selected.p, selected.s, config.out_dir)
+    _aggregate(names, evaluator, selected.p, selected.s, args.out_dir)
     return 0
 
 
 def cmd_metrics(original_path: Path, aggregated_path: Path,
                 normalization: str, out_dir: Path) -> int:
     """Score an externally produced aggregation against the original."""
-    original = read_csv(original_path)
-    aggregated = read_csv(aggregated_path)
+    original = validate_and_build(*read_csv(original_path))
+    aggregated = validate_and_build(*read_csv(aggregated_path))
     names = original.attribute_names
     if set(aggregated.attribute_names) != set(names):
         raise DataError(
@@ -302,20 +268,9 @@ def main(argv=None) -> int:
         if args.command == "metrics":
             return cmd_metrics(args.input, args.aggregated,
                                args.normalization, args.out_dir)
-        config = RunConfig(
-            input_path=args.input,
-            out_dir=args.out_dir,
-            period_length=args.period_length,
-            typical_periods=getattr(args, "typical_periods", None),
-            segments=getattr(args, "segments", None),
-            representation=args.representation,
-            normalization=args.normalization,
-            budget=getattr(args, "budget", None),
-            drop_trailing=args.drop_trailing,
-        )
         if args.command == "aggregate":
-            return cmd_aggregate(config)
-        return cmd_pathway(config)
+            return cmd_aggregate(args)
+        return cmd_pathway(args)
     except (DataError, OSError) as exc:
         # OSError: creating the output directory or writing an artifact
         print(f"error: {exc}", file=sys.stderr)

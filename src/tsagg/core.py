@@ -32,8 +32,6 @@ class TimeSeriesSet:
 
     attribute_names: tuple[str, ...]
     values: np.ndarray
-    resolution_hours: float
-    origin_timestamp: str | None = None
 
     @property
     def n_steps(self) -> int:
@@ -86,8 +84,7 @@ class PeriodFrame:
                                  self.n_attributes)
 
 
-def validate_and_build(values, names, resolution_hours: float,
-                       origin_timestamp: str | None = None) -> TimeSeriesSet:
+def validate_and_build(values, names) -> TimeSeriesSet:
     """Validate a raw matrix and wrap it as a TimeSeriesSet.
 
     Rejects empty data, non-finite entries (naming row and column), and
@@ -112,12 +109,8 @@ def validate_and_build(values, names, resolution_hours: float,
         t, a = np.argwhere(~np.isfinite(arr))[0]
         raise DataError(
             f"non-finite value at row {t}, column {a} ({names[a]!r})")
-    if not resolution_hours > 0:
-        raise DataError(f"resolution_hours must be positive, got {resolution_hours}")
     arr.setflags(write=False)
-    return TimeSeriesSet(attribute_names=names, values=arr,
-                         resolution_hours=float(resolution_hours),
-                         origin_timestamp=origin_timestamp)
+    return TimeSeriesSet(attribute_names=names, values=arr)
 
 
 def normalize(ts: TimeSeriesSet, method: str = "minmax") -> tuple[np.ndarray, NormParams]:
@@ -181,3 +174,10 @@ def to_periods(normalized: np.ndarray, steps_per_period: int,
     return PeriodFrame(n_periods=n_periods, steps_per_period=steps_per_period,
                        rows=rows, norm_params=norm_params,
                        dropped_steps=int(remainder))
+
+
+def build_frame(values, names, steps_per_period: int, normalization: str = "minmax",
+                drop_trailing: bool = False) -> PeriodFrame:
+    """Validate, normalize and reshape a raw (N_t, N_a) matrix into period rows."""
+    normalized, params = normalize(validate_and_build(values, names), normalization)
+    return to_periods(normalized, steps_per_period, params, drop_trailing)

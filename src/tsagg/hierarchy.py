@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, DataError
 
@@ -83,6 +82,29 @@ class ClusterResult:
         return np.flatnonzero(self.assignment == cluster)
 
 
+def sq_distances(samples: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between all rows, shape (n, n).
+
+    Each entry sums the squared attribute differences in column order, the
+    order of scipy's ``cdist(..., "sqeuclidean")``, so the two agree bit for
+    bit: the differences are laid out column-major and reduced over that
+    outer axis, which numpy accumulates one column after the other. Rows go
+    in blocks of about 128k differences; each block fills its part of the
+    upper triangle, and the lower triangle is its mirror image.
+    """
+    n, n_cols = samples.shape
+    columns = np.ascontiguousarray(samples.T)
+    out = np.empty((n, n))
+    block = max(1, 131072 // (n_cols * n))
+    for i in range(0, n, block):
+        diff = columns[:, i:i + block, None] - columns[:, None, i:]
+        diff *= diff
+        acc = diff.sum(axis=0)
+        out[i:i + block, i:] = acc
+        out[i:, i:i + block] = acc.T
+    return out
+
+
 def ward_linkage(samples: np.ndarray) -> Linkage:
     """Build the full merge history (n - 1 merges) for the given samples."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -100,7 +122,7 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
     size[:n] = 1.0
     # full symmetric Lance-Williams distances among active clusters
     dist = np.full((total, total), np.inf)
-    dist[:n, :n] = cdist(samples, samples, "sqeuclidean")
+    dist[:n, :n] = sq_distances(samples)
     # search matrix: upper triangle of active pairs, inf elsewhere
     search = np.full((total, total), np.inf)
     iu = np.triu_indices(n, k=1)
@@ -153,5 +175,5 @@ def medoid_of(samples: np.ndarray, members) -> int:
     if samples.ndim == 1:
         samples = samples.reshape(-1, 1)
     pts = samples[members]
-    sums = cdist(pts, pts, "sqeuclidean").sum(axis=1)
+    sums = sq_distances(pts).sum(axis=1)
     return int(members[int(np.argmin(sums))])

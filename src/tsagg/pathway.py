@@ -117,44 +117,33 @@ class ConfigEvaluator:
             self._reps[p] = represent(self.frame, self.clusters(p), self.method)
         return self._reps[p]
 
-    def segmented(self, p: int, s: int) -> RepresentativeSet:
-        reps = self.representatives(p)
+    def reconstruction(self, p: int, s: int) -> tuple[ClusterResult, RepresentativeSet,
+                                                       np.ndarray]:
+        """Clusters, segmented representatives and full-length reconstruction."""
+        if not 1 <= p <= self.frame.n_periods:
+            raise ConfigError(f"p={p} out of range [1, {self.frame.n_periods}]")
+        if not 1 <= s <= self.frame.steps_per_period:
+            raise ConfigError(f"s={s} out of range [1, {self.frame.steps_per_period}]")
+        clusters, reps = self.clusters(p), self.representatives(p)
         if p not in self._seg_ranks:
             self._seg_ranks[p] = segment_linkage(reps.profiles)
-        return replace(reps, segments=cut_layout(reps.profiles, self._seg_ranks[p], s))
+        reps = replace(reps, segments=cut_layout(reps.profiles, self._seg_ranks[p], s))
+        return clusters, reps, reconstruct(self.frame, clusters, reps)
 
     def evaluate(self, p: int, s: int) -> PathwayState:
         key = (p, s)
         if key not in self._states:
-            if not 1 <= p <= self.frame.n_periods:
-                raise ConfigError(f"p={p} out of range [1, {self.frame.n_periods}]")
-            if not 1 <= s <= self.frame.steps_per_period:
-                raise ConfigError(
-                    f"s={s} out of range [1, {self.frame.steps_per_period}]")
-            rec = reconstruct(self.frame, self.clusters(p), self.segmented(p, s))
+            _, _, rec = self.reconstruction(p, s)
             self._states[key] = PathwayState(
                 p=p, s=s, total_steps=p * s,
                 rmse=rmse_tot(self._original, rec))
         return self._states[key]
 
 
-def evaluate_config(frame: PeriodFrame, p: int, s: int, method: str,
-                    evaluator: ConfigEvaluator | None = None) -> PathwayState:
-    """Run the full pipeline for one configuration.
-
-    Pass a ConfigEvaluator to share cached stages across calls.
-    """
-    if evaluator is None:
-        evaluator = ConfigEvaluator(frame, method)
-    return evaluator.evaluate(p, s)
-
-
-def pathway_search(frame: PeriodFrame, method: str,
-                   max_total_steps: int | None = None,
-                   evaluator: ConfigEvaluator | None = None) -> PathwayTrace:
+def pathway_search(evaluator: ConfigEvaluator,
+                   max_total_steps: int | None = None) -> PathwayTrace:
     """Trace the steepest-descent pathway from (1, 1) toward full resolution."""
-    if evaluator is None:
-        evaluator = ConfigEvaluator(frame, method)
+    frame = evaluator.frame
     grid_p = build_grid(frame.n_periods)
     grid_s = build_grid(frame.steps_per_period)
     ip = 0

@@ -13,8 +13,9 @@ duration curve exactly, while the placement keeps the centroid's
 chronology.
 
 All representatives live in normalized space; weights are the cluster
-sizes. All sorts are descending and stable, ties resolving to the earlier
-original position.
+sizes. Centroid ranks are sorted descending and stable, ties resolving to
+the earlier time step. Clusters of equal size are computed together, one
+array pass per size.
 """
 
 from __future__ import annotations
@@ -35,14 +36,11 @@ class RepresentativeSet:
     """k representative period profiles with their cluster weights.
 
     profiles has shape (k, steps_per_period, N_a), normalized units.
-    medoid_source holds the original period index behind each profile
-    (medoid method only). segments is attached by the segmentation stage.
+    segments is attached by the segmentation stage.
     """
 
-    method: str
     profiles: np.ndarray
     weights: np.ndarray
-    medoid_source: np.ndarray | None = None
     segments: "SegmentLayout | None" = None  # noqa: F821 (segmentation module)
 
     @property
@@ -58,102 +56,42 @@ class RepresentativeSet:
         return self.profiles.shape[2]
 
 
-@dataclass(frozen=True)
-class DistributionWork:
-    """Intermediates of the distribution method for one cluster.
-
-    duration_curve: pooled member values sorted descending, per attribute,
-    shape (|C_k| * steps_per_period, N_a). group_means: consecutive
-    |C_k|-groups averaged, shape (steps_per_period, N_a). centroid: the
-    mean member profile; order: time-step indices of the centroid sorted
-    descending, per attribute.
-    """
-
-    cluster: int
-    duration_curve: np.ndarray
-    group_means: np.ndarray
-    centroid: np.ndarray
-    order: np.ndarray
-
-
-def _member_profiles(frame: PeriodFrame, clusters: ClusterResult, cluster: int) -> np.ndarray:
-    """Member periods of one cluster as (|C_k|, steps, N_a)."""
-    members = clusters.members(cluster)
-    return frame.rows[members].reshape(members.size, frame.steps_per_period,
-                                       frame.n_attributes)
-
-
-def _check(frame: PeriodFrame, clusters: ClusterResult) -> None:
+def represent(frame: PeriodFrame, clusters: ClusterResult, method: str) -> RepresentativeSet:
+    """One representative profile per cluster by the named method."""
+    if method not in REPRESENTATION_METHODS:
+        raise ConfigError(
+            f"unknown representation method {method!r}, expected one of {REPRESENTATION_METHODS}")
     if clusters.n_samples != frame.n_periods:
         raise DataError(
             f"assignment covers {clusters.n_samples} periods, frame has {frame.n_periods}")
-
-
-def represent_centroid(frame: PeriodFrame, clusters: ClusterResult) -> RepresentativeSet:
-    """Elementwise mean over the member periods of each cluster."""
-    _check(frame, clusters)
-    profiles = np.stack([
-        _member_profiles(frame, clusters, c).mean(axis=0)
-        for c in range(clusters.k)
-    ])
-    return RepresentativeSet(method="centroid", profiles=profiles,
-                             weights=clusters.sizes.copy())
-
-
-def represent_medoid(frame: PeriodFrame, clusters: ClusterResult) -> RepresentativeSet:
-    """The closest real member period of each cluster, source index kept."""
-    _check(frame, clusters)
-    source = np.array([
-        medoid_of(frame.rows, clusters.members(c)) for c in range(clusters.k)
-    ])
-    profiles = frame.rows[source].reshape(clusters.k, frame.steps_per_period,
-                                          frame.n_attributes)
-    return RepresentativeSet(method="medoid", profiles=profiles,
-                             weights=clusters.sizes.copy(), medoid_source=source)
-
-
-def distribution_work(frame: PeriodFrame, clusters: ClusterResult) -> list[DistributionWork]:
-    """Per-cluster intermediates of the distribution method."""
-    _check(frame, clusters)
-    out = []
-    for c in range(clusters.k):
-        members = _member_profiles(frame, clusters, c)
-        n_members, steps, n_attrs = members.shape
-        pooled = members.reshape(n_members * steps, n_attrs)
-        curve = -np.sort(-pooled, axis=0)  # descending
-        # reduce contiguous runs per attribute so each group mean is summed
-        # in plain index order, reproducible against a by-hand computation
-        group_means = np.empty((steps, n_attrs))
-        for a in range(n_attrs):
-            col = np.ascontiguousarray(curve[:, a])
-            group_means[:, a] = col.reshape(steps, n_members).mean(axis=1)
-        centroid = members.mean(axis=0)
-        order = np.argsort(-centroid, axis=0, kind="stable")
-        out.append(DistributionWork(cluster=c, duration_curve=curve,
-                                    group_means=group_means,
-                                    centroid=centroid, order=order))
-    return out
-
-
-def represent_distribution(frame: PeriodFrame, clusters: ClusterResult) -> RepresentativeSet:
-    """Distribution-preserving representative of each cluster."""
-    work = distribution_work(frame, clusters)
+    k, sizes = clusters.k, clusters.sizes
     steps, n_attrs = frame.steps_per_period, frame.n_attributes
-    profiles = np.empty((clusters.k, steps, n_attrs))
-    for w in work:
-        for a in range(n_attrs):
-            profiles[w.cluster, w.order[:, a], a] = w.group_means[:, a]
-    return RepresentativeSet(method="distribution", profiles=profiles,
-                             weights=clusters.sizes.copy())
-
-
-def represent(frame: PeriodFrame, clusters: ClusterResult, method: str) -> RepresentativeSet:
-    """Dispatch on the method name."""
-    if method == "centroid":
-        return represent_centroid(frame, clusters)
+    # member period indices, ascending, cluster after cluster
+    members = np.argsort(clusters.assignment, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    profiles = np.empty((k, steps, n_attrs))
     if method == "medoid":
-        return represent_medoid(frame, clusters)
-    if method == "distribution":
-        return represent_distribution(frame, clusters)
-    raise ConfigError(
-        f"unknown representation method {method!r}, expected one of {REPRESENTATION_METHODS}")
+        for c in range(k):
+            source = medoid_of(frame.rows, members[starts[c]:starts[c] + sizes[c]])
+            profiles[c] = frame.rows[source].reshape(steps, n_attrs)
+        return RepresentativeSet(profiles=profiles, weights=sizes.copy())
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        rows = frame.rows[members[starts[group, None] + np.arange(size)]]
+        # reducing axis 1 sums the members in order, as a per-cluster mean does
+        periods = rows.reshape(group.size, size, steps, n_attrs)
+        centroid = periods.mean(axis=1)
+        if method == "centroid":
+            profiles[group] = centroid
+            continue
+        # per cluster and attribute, the pooled member values sorted
+        # descending, then each run of |C_k| values reduced contiguously
+        pooled = np.ascontiguousarray(
+            periods.reshape(group.size, size * steps, n_attrs).transpose(0, 2, 1))
+        curve = -np.sort(-pooled, axis=2)
+        group_means = curve.reshape(group.size, n_attrs, steps, size).mean(axis=3)
+        order = np.argsort(-centroid, axis=1, kind="stable")
+        placed = np.empty_like(centroid)
+        np.put_along_axis(placed, order, group_means.transpose(0, 2, 1), axis=1)
+        profiles[group] = placed
+    return RepresentativeSet(profiles=profiles, weights=sizes.copy())

@@ -4,19 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from tsagg.core import normalize, to_periods, validate_and_build
+from tsagg import core
 from tsagg.segmentation import cut_layout, segment_linkage
 
 
 def build_frame(values, steps_per_period, norm="minmax"):
-    """Validate, normalize, and reshape a raw matrix in one go."""
+    """The library's frame builder with generated attribute names."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values.reshape(-1, 1)
     names = [f"attr{i}" for i in range(values.shape[1])]
-    ts = validate_and_build(values, names, 1.0)
-    normalized, params = normalize(ts, norm)
-    return to_periods(normalized, steps_per_period, params)
+    return core.build_frame(values, names, steps_per_period, norm)
 
 
 def random_matrix(rng, n_steps, n_attrs, spread=1.0):

@@ -124,6 +124,34 @@ def best_partition(samples, k, contiguous=False):
     return best, best_sse
 
 
+def sq_distance_matrix(points):
+    """d[i, j] = sum_a (x[i, a] - x[j, a])^2, summed in column order.
+
+    That is the order of scipy's ``cdist(..., "sqeuclidean")``; a sum over
+    the attribute axis in one call rounds differently once it pairs terms.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    d = np.zeros((points.shape[0], points.shape[0]))
+    for a in range(points.shape[1]):
+        d += (points[:, None, a] - points[None, :, a]) ** 2
+    return d
+
+
+def distribution_group_means(member_profiles):
+    """Grouped duration curve of one cluster, one attribute: (steps,).
+
+    member_profiles: (n_members, steps) array. All member values are pooled
+    and sorted descending, then each consecutive run of n_members values is
+    averaged.
+    """
+    member_profiles = np.asarray(member_profiles, dtype=np.float64)
+    n_members, steps = member_profiles.shape
+    pooled_desc = np.sort(member_profiles.reshape(-1))[::-1]
+    return np.array([
+        np.mean(pooled_desc[i * n_members:(i + 1) * n_members]) for i in range(steps)
+    ])
+
+
 def distribution_profile(member_profiles):
     """Step-by-step distribution representative for one cluster, one attribute.
 
@@ -133,14 +161,36 @@ def distribution_profile(member_profiles):
     centroid value.
     """
     member_profiles = np.asarray(member_profiles, dtype=np.float64)
-    n_members, steps = member_profiles.shape
-    pooled_desc = np.sort(member_profiles.reshape(-1))[::-1]
-    group_means = np.array([
-        np.mean(pooled_desc[i * n_members:(i + 1) * n_members]) for i in range(steps)
-    ])
+    group_means = distribution_group_means(member_profiles)
     centroid = member_profiles.mean(axis=0)
     order = np.argsort(-centroid, kind="stable")
-    profile = np.empty(steps)
+    profile = np.empty(member_profiles.shape[1])
     for rank, t in enumerate(order):
         profile[t] = group_means[rank]
     return profile
+
+
+def representatives(rows, assignment, steps, method):
+    """Representative profiles (k, steps, N_a), one cluster at a time.
+
+    rows holds one period per row in the step-major layout. Centroid is the
+    member mean; medoid is the member with the smallest summed squared
+    distance to all members, the lowest period index on ties; distribution
+    follows :func:`distribution_profile` per attribute.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    k = int(np.max(assignment)) + 1
+    n_attrs = rows.shape[1] // steps
+    out = np.empty((k, steps, n_attrs))
+    for c in range(k):
+        members = np.flatnonzero(assignment == c)
+        periods = rows[members].reshape(members.size, steps, n_attrs)
+        if method == "centroid":
+            out[c] = periods.mean(axis=0)
+        elif method == "medoid":
+            sums = sq_distance_matrix(rows[members]).sum(axis=1)
+            out[c] = periods[int(np.argmin(sums))]
+        else:
+            for a in range(n_attrs):
+                out[c, :, a] = distribution_profile(periods[:, :, a])
+    return out

@@ -14,8 +14,8 @@ import pytest
 import conftest
 
 from tsagg.cli import main
-from tsagg.hierarchy import ward_cluster, ward_linkage
-from tsagg.metrics import duration_curve_rmse, reconstruct, rmse_tot
+from tsagg.hierarchy import ward_linkage
+from tsagg.metrics import duration_curve_rmse, rmse_tot
 from tsagg.pathway import (
     MORE_PERIODS,
     MORE_SEGMENTS,
@@ -23,8 +23,6 @@ from tsagg.pathway import (
     pathway_search,
     select_config,
 )
-from tsagg.representation import represent
-from tsagg.segmentation import segment_representatives
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
 from helpers import build_frame, chain_partition
@@ -41,9 +39,8 @@ def report(name, ok, detail=""):
 
 
 def aggregate_once(frame, p, s, method):
-    clusters = ward_cluster(frame.rows, p)
-    reps = segment_representatives(represent(frame, clusters, method), s)
-    return clusters, reconstruct(frame, clusters, reps)
+    clusters, _, rec = ConfigEvaluator(frame, method).reconstruction(p, s)
+    return clusters, rec
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +48,7 @@ def solar_run():
     frame = build_frame(solar_profile(365, seed=0), 24)
     evaluator = ConfigEvaluator(frame, "distribution")
     start = time.monotonic()
-    trace = pathway_search(frame, "distribution", evaluator=evaluator)
+    trace = pathway_search(evaluator)
     elapsed = time.monotonic() - start
     return frame, evaluator, trace, elapsed
 
@@ -181,7 +178,7 @@ def test_pathway_direction_reproduction(solar_run):
 
     start = time.monotonic()
     wind_frame = build_frame(wind_profile(365, seed=0), 24)
-    wind_trace = pathway_search(wind_frame, "distribution")
+    wind_trace = pathway_search(ConfigEvaluator(wind_frame, "distribution"))
     wind_elapsed = time.monotonic() - start
     wind_dirs = [m.direction for m in wind_trace.moves]
     wind_first3 = all(d == MORE_PERIODS for d in wind_dirs[:3])

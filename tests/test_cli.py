@@ -1,12 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsagg
 from tsagg.cli import main
-from tsagg.core import normalize, validate_and_build
+from tsagg.core import build_frame, denormalize, normalize, validate_and_build
 from tsagg.metrics import rmse_tot
+from tsagg.pathway import ConfigEvaluator
 from tsagg.synthetic import load_profile
 
 
@@ -83,6 +89,26 @@ class TestAggregate:
         for fname in ("representatives.csv", "mapping.csv", "metrics.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_representatives_rows_match_library(self, tmp_path):
+        # every value printed with 12 significant digits, as the library has it
+        values = 1e3 * np.random.default_rng(3).standard_normal((10 * 6, 2))
+        path = tmp_path / "in.csv"
+        write_csv(path, values, ["a", "b"])
+        out = tmp_path / "out"
+        assert main(["aggregate", "--input", str(path), "--out-dir", str(out),
+                     "--period-length", "6", "--typical-periods", "4",
+                     "--segments", "3", "--normalization", "znorm"]) == 0
+        frame = build_frame(values, ["a", "b"], 6, "znorm")
+        _, reps, _ = ConfigEvaluator(frame, "distribution").reconstruction(4, 3)
+        layout = reps.segments
+        segment_values = denormalize(layout.values.reshape(-1, 2), frame.norm_params)
+        expected = ["cluster_id,weight,segment_id,duration_steps,a,b"]
+        for i, (a, b) in enumerate(segment_values):
+            c, j = divmod(i, 3)
+            expected.append(f"{c},{reps.weights[c]},{j},{layout.lengths[c, j]},"
+                            f"{a:.12g},{b:.12g}")
+        assert (out / "representatives.csv").read_text().splitlines() == expected
+
     def test_representatives_roundtrip_reproduces_rmse(self, year_csv, tmp_path):
         out = tmp_path / "out"
         main(["aggregate", "--input", str(year_csv), "--out-dir", str(out),
@@ -99,7 +125,7 @@ class TestAggregate:
             series.extend(expanded_cluster[row["cluster_id"]])
         # rescore in normalized space against the original input
         original = validate_and_build(
-            load_profile(365, seed=0), ["load"], 1.0)
+            load_profile(365, seed=0), ["load"])
         normalized, params = normalize(original, "minmax")
         rebuilt = (np.array(series).reshape(-1, 1) - params.offset) / params.scale
         metrics = json.loads((out / "metrics.json").read_text())
@@ -282,3 +308,13 @@ class TestMetricsCommand:
         code = main(["metrics", "--input", str(a), "--aggregated", str(b),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, tsagg.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # the child imports the same tsagg as this process
+    src = str(Path(tsagg.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tsagg.core import denormalize, normalize, to_periods, validate_and_build
+from tsagg.core import build_frame, denormalize, normalize, to_periods, validate_and_build
 from tsagg.errors import ConfigError, DataError
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -19,12 +19,12 @@ def matrices(min_rows=2, max_rows=30, max_cols=4):
 def make_set(values):
     values = np.asarray(values, dtype=np.float64)
     names = [f"a{i}" for i in range(values.shape[1])]
-    return validate_and_build(values, names, 1.0)
+    return validate_and_build(values, names)
 
 
 class TestValidateAndBuild:
     def test_year_of_hourly_load(self):
-        ts = validate_and_build(np.ones((8760, 1)), ["load"], 1.0)
+        ts = validate_and_build(np.ones((8760, 1)), ["load"])
         assert ts.n_steps == 8760
         assert ts.n_attributes == 1
 
@@ -32,23 +32,20 @@ class TestValidateAndBuild:
         values = np.zeros((4, 2))
         values[2, 1] = np.nan
         with pytest.raises(DataError, match=r"row 2, column 1"):
-            validate_and_build(values, ["a", "b"], 1.0)
+            validate_and_build(values, ["a", "b"])
 
     def test_inf_rejected(self):
         with pytest.raises(DataError):
-            validate_and_build([[1.0], [np.inf]], ["a"], 1.0)
+            validate_and_build([[1.0], [np.inf]], ["a"])
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(DataError, match="duplicate"):
-            validate_and_build(np.zeros((3, 2)), ["a", "a"], 1.0)
+            validate_and_build(np.zeros((3, 2)), ["a", "a"])
 
     def test_name_count_mismatch(self):
         with pytest.raises(DataError):
-            validate_and_build(np.zeros((3, 2)), ["a"], 1.0)
+            validate_and_build(np.zeros((3, 2)), ["a"])
 
-    def test_nonpositive_resolution(self):
-        with pytest.raises(DataError):
-            validate_and_build(np.zeros((3, 1)), ["a"], 0.0)
 
 
 class TestNormalize:
@@ -161,3 +158,18 @@ class TestToPeriods:
         normalized, params = normalize(ts, "minmax")
         frame = to_periods(normalized, steps, params)
         assert np.array_equal(frame.unrolled(), normalized)
+
+
+class TestBuildFrame:
+    def test_composes_the_three_stages(self):
+        values = np.random.default_rng(0).standard_normal((50, 2))
+        frame = build_frame(values, ["a", "b"], 24, "znorm", drop_trailing=True)
+        normalized, params = normalize(make_set(values), "znorm")
+        expected = to_periods(normalized, 24, params, drop_trailing=True)
+        assert frame.rows.tobytes() == expected.rows.tobytes()
+        assert frame.dropped_steps == 2
+        assert frame.norm_params.method == "znorm"
+
+    def test_validates_the_raw_matrix(self):
+        with pytest.raises(DataError, match="duplicate"):
+            build_frame(np.zeros((4, 2)), ["a", "a"], 2)

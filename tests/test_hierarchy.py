@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import medoid_of, ward_cluster, ward_linkage
+from tsagg.hierarchy import medoid_of, sq_distances, ward_cluster, ward_linkage
 
 from helpers import chain_partition, segment_one
-from reference import best_partition, chain_matrix, naive_cut, naive_ward
+from reference import (
+    best_partition,
+    chain_matrix,
+    naive_cut,
+    naive_ward,
+    sq_distance_matrix,
+)
 
 
 def assert_same_partition(a, b):
@@ -141,3 +147,22 @@ class TestMedoid:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             medoid_of(np.zeros((3, 1)), [])
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (200, 72), (1460, 72)])
+    def test_matches_cdist_on_random_rows(self, shape):
+        cdist = pytest.importorskip("scipy.spatial.distance").cdist
+        x = 3.1 * np.random.default_rng(shape[0]).standard_normal(shape)
+        expected = cdist(x, x, "sqeuclidean")
+        assert sq_distances(x).tobytes() == expected.tobytes()
+
+    def test_matches_cdist_on_integer_grids(self):
+        cdist = pytest.importorskip("scipy.spatial.distance").cdist
+        x = np.random.default_rng(9).integers(0, 3, (300, 24)).astype(np.float64)
+        assert sq_distances(x).tobytes() == cdist(x, x, "sqeuclidean").tobytes()
+
+    def test_matches_column_order_reference(self):
+        # runs without scipy: the definition, summed in the same order
+        x = np.random.default_rng(10).standard_normal((50, 30))
+        assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()

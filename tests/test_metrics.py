@@ -13,6 +13,7 @@ from tsagg.metrics import (
     reconstruct,
     rmse_tot,
 )
+from tsagg.pathway import ConfigEvaluator
 from tsagg.representation import represent
 from tsagg.segmentation import segment_representatives
 
@@ -22,9 +23,7 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinit
 
 
 def aggregate(frame, p, s, method):
-    clusters = ward_cluster(frame.rows, p)
-    reps = segment_representatives(represent(frame, clusters, method), s)
-    return reconstruct(frame, clusters, reps)
+    return ConfigEvaluator(frame, method).reconstruction(p, s)[2]
 
 
 class TestReconstruct:

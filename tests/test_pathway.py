@@ -12,7 +12,6 @@ from tsagg.pathway import (
     PathwayState,
     PathwayTrace,
     build_grid,
-    evaluate_config,
     pathway_search,
     select_config,
 )
@@ -23,6 +22,10 @@ from helpers import build_frame
 def small_frame(seed=0, n_periods=16, steps=12, n_attrs=1):
     rng = np.random.default_rng(seed)
     return build_frame(rng.standard_normal((n_periods * steps, n_attrs)), steps)
+
+
+def search(frame, method, max_total_steps=None):
+    return pathway_search(ConfigEvaluator(frame, method), max_total_steps)
 
 
 class TestBuildGrid:
@@ -49,13 +52,13 @@ class TestEvaluateConfig:
     def test_identity_is_zero(self):
         frame = small_frame()
         for method in ("centroid", "medoid", "distribution"):
-            state = evaluate_config(frame, frame.n_periods, frame.steps_per_period,
-                                    method)
+            state = ConfigEvaluator(frame, method).evaluate(
+                frame.n_periods, frame.steps_per_period)
             assert state.rmse == 0.0
 
     def test_coarsest_centroid_matches_dispersion(self):
         frame = small_frame(seed=1, n_attrs=2)
-        state = evaluate_config(frame, 1, 1, "centroid")
+        state = ConfigEvaluator(frame, "centroid").evaluate(1, 1)
         x = frame.unrolled()
         expected = np.sqrt(np.mean((x - x.mean(axis=0)) ** 2))
         assert abs(state.rmse - expected) < 1e-12
@@ -78,20 +81,20 @@ class TestEvaluateConfig:
 
 class TestPathwaySearch:
     def test_total_steps_strictly_increase(self):
-        trace = pathway_search(small_frame(seed=3), "centroid")
+        trace = search(small_frame(seed=3), "centroid")
         totals = [s.total_steps for s in trace.states]
         assert all(a < b for a, b in zip(totals, totals[1:]))
 
     def test_unbounded_ends_at_full_resolution(self):
         frame = small_frame(seed=4)
         for method in ("centroid", "medoid", "distribution"):
-            trace = pathway_search(frame, method)
+            trace = search(frame, method)
             assert trace.final.p == frame.n_periods
             assert trace.final.s == frame.steps_per_period
             assert trace.final.rmse == 0.0
 
     def test_chosen_direction_has_smaller_ratio(self):
-        trace = pathway_search(small_frame(seed=5, n_attrs=2), "distribution")
+        trace = search(small_frame(seed=5, n_attrs=2), "distribution")
         for move in trace.moves:
             if move.ratio_periods is None or move.ratio_segments is None:
                 continue
@@ -102,17 +105,17 @@ class TestPathwaySearch:
             assert chosen <= other
 
     def test_centroid_rmse_non_increasing(self):
-        trace = pathway_search(small_frame(seed=6), "centroid")
+        trace = search(small_frame(seed=6), "centroid")
         rmses = [s.rmse for s in trace.states]
         assert all(b <= a + 1e-9 for a, b in zip(rmses, rmses[1:]))
 
     def test_cap_of_one_stops_after_first_move(self):
-        trace = pathway_search(small_frame(seed=7), "centroid", max_total_steps=1)
+        trace = search(small_frame(seed=7), "centroid", max_total_steps=1)
         assert trace.states[0].p == 1 and trace.states[0].s == 1
         assert len(trace.states) <= 2
 
     def test_cap_keeps_surpassing_state(self):
-        trace = pathway_search(small_frame(seed=8), "centroid", max_total_steps=20)
+        trace = search(small_frame(seed=8), "centroid", max_total_steps=20)
         totals = [s.total_steps for s in trace.states]
         assert totals[-1] > 20 or (trace.final.p == 16 and trace.final.s == 12)
         assert all(t <= 20 for t in totals[:-1])
@@ -123,7 +126,7 @@ class TestPathwaySearch:
         shape = np.sin(np.linspace(0, np.pi, 12)) ** 2
         days = shape[None, :] * (1 + 0.02 * rng.standard_normal((30, 1)))
         frame = build_frame(days.reshape(-1), 12)
-        trace = pathway_search(frame, "centroid")
+        trace = search(frame, "centroid")
         assert trace.moves[0].direction == MORE_SEGMENTS
 
     def test_aperiodic_structure_prefers_periods_first(self):
@@ -133,22 +136,22 @@ class TestPathwaySearch:
         days = np.repeat(levels[:, None], 12, axis=1)
         days += 0.01 * rng.standard_normal(days.shape)
         frame = build_frame(days.reshape(-1), 12)
-        trace = pathway_search(frame, "centroid")
+        trace = search(frame, "centroid")
         assert trace.moves[0].direction == MORE_PERIODS
 
 
 class TestSelectConfig:
     def test_budget_covers_final(self):
-        trace = pathway_search(small_frame(seed=11), "centroid")
+        trace = search(small_frame(seed=11), "centroid")
         assert select_config(trace, 10 ** 9) == trace.final
 
     def test_budget_one_returns_start(self):
-        trace = pathway_search(small_frame(seed=12), "centroid")
+        trace = search(small_frame(seed=12), "centroid")
         state = select_config(trace, 1)
         assert (state.p, state.s) == (1, 1)
 
     def test_last_state_within_budget(self):
-        trace = pathway_search(small_frame(seed=13), "centroid")
+        trace = search(small_frame(seed=13), "centroid")
         budget = 24
         state = select_config(trace, budget)
         assert state.total_steps <= budget
@@ -166,6 +169,6 @@ class TestSelectConfig:
         assert select_config(trace, 96) == states[2]
 
     def test_invalid_budget(self):
-        trace = pathway_search(small_frame(seed=14), "centroid")
+        trace = search(small_frame(seed=14), "centroid")
         with pytest.raises(ConfigError):
             select_config(trace, 0)

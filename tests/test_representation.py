@@ -5,17 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import ward_cluster
-from tsagg.representation import (
-    distribution_work,
-    represent,
-    represent_centroid,
-    represent_distribution,
-    represent_medoid,
-)
+from tsagg.hierarchy import ward_cluster, ward_linkage
+from tsagg.representation import REPRESENTATION_METHODS, represent
 
 from helpers import build_frame
-from reference import distribution_profile
+from reference import distribution_group_means, distribution_profile, representatives
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -28,7 +22,7 @@ def clustered_frame(values, steps, k):
 class TestCentroid:
     def test_singleton_cluster_copies_member(self):
         frame, clusters = clustered_frame(np.arange(12.0), 3, 4)
-        reps = represent_centroid(frame, clusters)
+        reps = represent(frame, clusters, "centroid")
         for c in range(4):
             member = clusters.members(c)[0]
             np.testing.assert_array_equal(
@@ -38,14 +32,14 @@ class TestCentroid:
         # two periods [1,3] and [3,5]: raw mean profile is [2,4]
         frame = build_frame(np.array([1.0, 3.0, 3.0, 5.0]), 2)
         clusters = ward_cluster(frame.rows, 1)
-        reps = represent_centroid(frame, clusters)
+        reps = represent(frame, clusters, "centroid")
         expected = (frame.rows[0] + frame.rows[1]) / 2
         np.testing.assert_array_equal(reps.profiles[0].ravel(), expected)
 
     def test_weighted_mean_preserved(self):
         rng = np.random.default_rng(0)
         frame, clusters = clustered_frame(rng.standard_normal((96, 3)), 24, 2)
-        reps = represent_centroid(frame, clusters)
+        reps = represent(frame, clusters, "centroid")
         for a in range(3):
             weighted = sum(
                 reps.weights[c] * reps.profiles[c, :, a].mean()
@@ -57,24 +51,27 @@ class TestCentroid:
 class TestMedoid:
     def test_singleton_cluster(self):
         frame, clusters = clustered_frame(np.arange(12.0), 3, 4)
-        reps = represent_medoid(frame, clusters)
+        reps = represent(frame, clusters, "medoid")
         for c in range(4):
-            assert reps.medoid_source[c] == clusters.members(c)[0]
+            np.testing.assert_array_equal(reps.profiles[c].ravel(),
+                                          frame.rows[clusters.members(c)[0]])
 
     def test_middle_of_three(self):
         # periods of one step with values 0, 1, 10: medoid is the middle one
         frame = build_frame(np.array([0.0, 1.0, 10.0]), 1)
         clusters = ward_cluster(np.zeros((3, 1)), 1)  # force one cluster
-        reps = represent_medoid(frame, clusters)
-        assert reps.medoid_source[0] == 1
+        reps = represent(frame, clusters, "medoid")
+        np.testing.assert_array_equal(reps.profiles[0].ravel(), frame.rows[1])
 
     def test_profiles_are_input_rows(self):
         rng = np.random.default_rng(1)
         frame, clusters = clustered_frame(rng.standard_normal((60, 2)), 12, 3)
-        reps = represent_medoid(frame, clusters)
+        reps = represent(frame, clusters, "medoid")
+        expected = representatives(frame.rows, clusters.assignment, 12, "medoid")
+        np.testing.assert_array_equal(reps.profiles, expected)
         for c in range(3):
-            row = frame.rows[reps.medoid_source[c]]
-            np.testing.assert_array_equal(reps.profiles[c].ravel(), row)
+            rows = frame.rows[clusters.members(c)]
+            assert (rows == reps.profiles[c].ravel()).all(axis=1).any()
 
 
 class TestDistribution:
@@ -83,18 +80,13 @@ class TestDistribution:
         frame = build_frame(np.array([5.0, 1.0, 0.0, 3.0]), 2)
         # bypass normalization effects: the frame is minmax over [0,5]
         clusters = ward_cluster(frame.rows, 1)
-        work = distribution_work(frame, clusters)[0]
-        np.testing.assert_allclose(work.duration_curve.ravel() * 5, [5, 3, 1, 0])
-        np.testing.assert_allclose(work.group_means.ravel() * 5, [4, 0.5])
-        np.testing.assert_allclose(work.centroid.ravel() * 5, [2.5, 2.0])
-        assert work.order.ravel().tolist() == [0, 1]
-        reps = represent_distribution(frame, clusters)
+        reps = represent(frame, clusters, "distribution")
         np.testing.assert_allclose(reps.profiles[0].ravel() * 5, [4, 0.5])
 
     def test_singleton_cluster_is_exact(self):
         rng = np.random.default_rng(2)
         frame, clusters = clustered_frame(rng.standard_normal((20, 2)), 5, 4)
-        reps = represent_distribution(frame, clusters)
+        reps = represent(frame, clusters, "distribution")
         for c in range(4):
             member = clusters.members(c)[0]
             np.testing.assert_array_equal(reps.profiles[c].ravel(),
@@ -103,7 +95,7 @@ class TestDistribution:
     def test_matches_stepwise_reference(self):
         rng = np.random.default_rng(3)
         frame, clusters = clustered_frame(rng.standard_normal((120, 2)), 8, 3)
-        reps = represent_distribution(frame, clusters)
+        reps = represent(frame, clusters, "distribution")
         view = frame.rows.reshape(frame.n_periods, 8, 2)
         for c in range(3):
             members = clusters.members(c)
@@ -118,11 +110,14 @@ class TestDistribution:
         values = data.draw(arrays(np.float64, (n_periods * steps, 2), elements=finite))
         frame = build_frame(values, steps)
         clusters = ward_cluster(frame.rows, k)
-        reps = represent_distribution(frame, clusters)
-        for w in distribution_work(frame, clusters):
+        reps = represent(frame, clusters, "distribution")
+        view = frame.rows.reshape(n_periods, steps, 2)
+        for c in range(k):
+            members = clusters.members(c)
             for a in range(2):
-                sorted_profile = -np.sort(-reps.profiles[w.cluster, :, a])
-                np.testing.assert_array_equal(sorted_profile, w.group_means[:, a])
+                sorted_profile = -np.sort(-reps.profiles[c, :, a])
+                np.testing.assert_array_equal(
+                    sorted_profile, distribution_group_means(view[members][:, :, a]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 4), st.data())
@@ -130,7 +125,7 @@ class TestDistribution:
         values = data.draw(arrays(np.float64, (k * 4 * 6, 1), elements=finite))
         frame = build_frame(values, 6)
         clusters = ward_cluster(frame.rows, k)
-        reps = represent_distribution(frame, clusters)
+        reps = represent(frame, clusters, "distribution")
         view = frame.rows.reshape(frame.n_periods, 6, 1)
         for c in range(k):
             members = clusters.members(c)
@@ -159,10 +154,51 @@ class TestCommon:
         frame = build_frame(np.arange(12.0), 3)
         clusters = ward_cluster(np.zeros((2, 1)), 1)
         with pytest.raises(DataError):
-            represent_centroid(frame, clusters)
+            represent(frame, clusters, "centroid")
 
     def test_unknown_method(self):
         frame = build_frame(np.arange(12.0), 3)
         clusters = ward_cluster(frame.rows, 2)
         with pytest.raises(ConfigError):
             represent(frame, clusters, "mean")
+
+
+@st.composite
+def tie_heavy_frames(draw):
+    """0..2 integer periods, each repeated, so many clusters share a size."""
+    steps = draw(st.integers(1, 4))
+    n_attrs = draw(st.integers(1, 2))
+    pool = draw(arrays(np.int64, (draw(st.integers(1, 4)), steps * n_attrs),
+                       elements=st.integers(0, 2)))
+    repeats = draw(st.integers(1, 4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=8))
+    periods = np.repeat(pool[picks], repeats, axis=0).astype(np.float64)
+    return build_frame(periods.reshape(-1, n_attrs), steps)
+
+
+class TestOracle:
+    """Every method equals the one-cluster-at-a-time reference bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_heavy_frames())
+    def test_tie_heavy_every_cut(self, frame):
+        linkage = ward_linkage(frame.rows)
+        for p in range(1, frame.n_periods + 1):
+            clusters = linkage.cut(p)
+            for method in REPRESENTATION_METHODS:
+                np.testing.assert_array_equal(
+                    represent(frame, clusters, method).profiles,
+                    representatives(frame.rows, clusters.assignment,
+                                    frame.steps_per_period, method))
+
+    def test_random_every_cut(self):
+        # clusters of 9+ members reduce pairwise, so summation order shows
+        rng = np.random.default_rng(6)
+        frame = build_frame(7.3 * rng.standard_normal((40 * 6, 3)), 6)
+        linkage = ward_linkage(frame.rows)
+        for p in range(1, 41):
+            clusters = linkage.cut(p)
+            for method in REPRESENTATION_METHODS:
+                np.testing.assert_array_equal(
+                    represent(frame, clusters, method).profiles,
+                    representatives(frame.rows, clusters.assignment, 6, method))

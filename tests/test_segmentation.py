@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import ConfigError
 from tsagg.hierarchy import ward_cluster
-from tsagg.representation import represent_centroid
+from tsagg.representation import represent
 from tsagg.segmentation import cut_layout, segment_linkage, segment_representatives
 
 from helpers import build_frame, chain_partition, segment_one
@@ -140,7 +140,7 @@ class TestSegmentRepresentatives:
         rng = np.random.default_rng(0)
         frame = build_frame(rng.standard_normal((8760, 1)), 24)
         clusters = ward_cluster(frame.rows, 8)
-        reps = segment_representatives(represent_centroid(frame, clusters), 8)
+        reps = segment_representatives(represent(frame, clusters, "centroid"), 8)
         assert reps.segments.lengths.shape == (8, 8)
         assert reps.segments.values.shape == (8, 8, 1)
 
@@ -148,7 +148,7 @@ class TestSegmentRepresentatives:
         rng = np.random.default_rng(1)
         frame = build_frame(rng.standard_normal((48, 2)), 12)
         clusters = ward_cluster(frame.rows, 2)
-        reps = segment_representatives(represent_centroid(frame, clusters), 12)
+        reps = segment_representatives(represent(frame, clusters, "centroid"), 12)
         assert np.all(reps.segments.lengths == 1)
         np.testing.assert_array_equal(reps.segments.values, reps.profiles)
 
@@ -157,5 +157,5 @@ class TestSegmentRepresentatives:
         day = rng.standard_normal((24, 1))
         frame = build_frame(np.vstack([day, day]), 24)
         clusters = ward_cluster(frame.rows, 2)
-        reps = segment_representatives(represent_centroid(frame, clusters), 5)
+        reps = segment_representatives(represent(frame, clusters, "centroid"), 5)
         assert layout_of(reps.segments, 0) == layout_of(reps.segments, 1)
