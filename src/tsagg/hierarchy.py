@@ -11,10 +11,19 @@ period are merged by the chain routine in the segmentation module.)
 Determinism: cluster ids are 0..n-1 for the input samples and n+m for the
 cluster created by merge m. Among equal-cost candidate merges the pair
 with the lexicographically smallest (id_a, id_b), id_a < id_b, wins.
+
+The period linkage is Müllner's generic algorithm ("Modern hierarchical,
+agglomerative clustering algorithms", arXiv:1109.2378). It keeps one n x n
+distance matrix, whose rows the merged clusters reuse, so it needs 8 n^2
+bytes; a run that would not fit in free memory fails with a ConfigError
+first. Each row caches its nearest cluster among larger ids; a merge scans
+the n cached entries and rescans only the rows whose neighbour it merged.
+The time is O(n^2) when few rows share a neighbour and O(n^3) at worst.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,20 +53,21 @@ class Linkage:
             raise ConfigError(f"k={k} out of range [1, {n}]")
         n_merges = n - k
         parent = np.arange(n + n_merges)
-        for m, merge in enumerate(self.merges[:n_merges]):
-            parent[merge.id_a] = n + m
-            parent[merge.id_b] = n + m
-        roots = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            r = i
-            while parent[r] != r:
-                r = parent[r]
-            roots[i] = r
+        replayed = self.merges[:n_merges]
+        parent[[m.id_a for m in replayed]] = np.arange(n, n + n_merges)
+        parent[[m.id_b for m in replayed]] = np.arange(n, n + n_merges)
+        # pointer jumping: each pass doubles how far every pointer reaches
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
         # label clusters 0..k-1 in order of first appearance
-        labels: dict[int, int] = {}
-        assignment = np.empty(n, dtype=np.int64)
-        for i, r in enumerate(roots):
-            assignment[i] = labels.setdefault(int(r), len(labels))
+        _, first_seen, inverse = np.unique(parent[:n], return_index=True,
+                                           return_inverse=True)
+        label = np.empty(k, dtype=np.int64)
+        label[np.argsort(first_seen)] = np.arange(k)
+        assignment = label[inverse]
         sizes = np.bincount(assignment, minlength=k)
         return ClusterResult(k=k, assignment=assignment, sizes=sizes)
 
@@ -105,6 +115,35 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
     return out
 
 
+def available_memory() -> int | None:
+    """Free physical memory in bytes, or None where the system cannot say."""
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _nearest(dist, rows, order, row_id):
+    """Each row's lexicographically smallest (distance, id) among larger ids.
+
+    ``order`` lists the active rows in increasing id order, so the first
+    minimum of a row is the one with the smallest id. Rows go in blocks of
+    about 128k cells. A row with no larger id gets an infinite distance.
+    """
+    col_id = row_id[order]
+    near_d = np.empty(rows.size)
+    near_r = np.empty(rows.size, dtype=np.int64)
+    block = max(1, 131072 // order.size)
+    for lo in range(0, rows.size, block):
+        r = rows[lo:lo + block]
+        sub = dist[r[:, None], order]
+        sub[col_id <= row_id[r, None]] = np.inf
+        k = sub.argmin(axis=1)
+        near_d[lo:lo + block] = sub[np.arange(r.size), k]
+        near_r[lo:lo + block] = order[k]
+    return near_d, near_r
+
+
 def ward_linkage(samples: np.ndarray) -> Linkage:
     """Build the full merge history (n - 1 merges) for the given samples."""
     samples = np.asarray(samples, dtype=np.float64)
@@ -115,42 +154,49 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
     n = samples.shape[0]
     if n == 0:
         raise DataError("no samples to cluster")
-    n_merges = n - 1
-    total = n + n_merges
+    needed, free = 8 * n * n, available_memory()
+    if free is not None and needed > free:
+        raise ConfigError(
+            f"clustering {n} periods needs {needed / 1e6:.1f} MB for the "
+            f"distance matrix, but only {free / 1e6:.1f} MB of memory is free")
 
-    size = np.zeros(total, dtype=np.float64)
-    size[:n] = 1.0
-    # full symmetric Lance-Williams distances among active clusters
-    dist = np.full((total, total), np.inf)
-    dist[:n, :n] = sq_distances(samples)
-    # search matrix: upper triangle of active pairs, inf elsewhere
-    search = np.full((total, total), np.inf)
-    iu = np.triu_indices(n, k=1)
-    search[:n, :n][iu] = dist[:n, :n][iu]
+    # one row per active cluster; the cluster born in a merge takes over
+    # the row of id_a. Per row: its cluster id, size and cached neighbour,
+    # the (distance, row) of the smallest (distance, id) among larger ids.
+    dist = sq_distances(samples)
+    row_id = np.arange(n)
+    size = np.ones(n)
+    order = np.arange(n)  # active rows in increasing id order
+    near_d, near_r = _nearest(dist, order, order, row_id)
 
     merges = []
-    for step in range(n_merges):
-        flat = int(np.argmin(search))
-        i, j = divmod(flat, total)
+    for step in range(n - 1):
+        i = order[int(np.argmin(near_d[order]))]
+        j = near_r[i]
         q = n + step
-        size[q] = size[i] + size[j]
-        merges.append(Merge(id_a=i, id_b=j, cost=float(dist[i, j]), size=int(size[q])))
+        merges.append(Merge(id_a=int(row_id[i]), id_b=int(row_id[j]),
+                            cost=float(dist[i, j]), size=int(size[i] + size[j])))
 
-        others = np.flatnonzero(size[:q] > 0)
-        others = others[(others != i) & (others != j)]
-        nm = size[others]
-        new_d = ((size[i] + nm) * dist[i, others]
-                 + (size[j] + nm) * dist[j, others]
+        order = order[(order != i) & (order != j)]
+        nm = size[order]
+        new_d = ((size[i] + nm) * dist[i, order]
+                 + (size[j] + nm) * dist[j, order]
                  - nm * dist[i, j]) / (size[i] + size[j] + nm)
-        dist[q, others] = new_d
-        dist[others, q] = new_d
-        search[i, :] = np.inf
-        search[:, i] = np.inf
-        search[j, :] = np.inf
-        search[:, j] = np.inf
-        # inactive clusters keep an inf distance to q
-        search[:q, q] = dist[:q, q]
-        size[i] = size[j] = 0.0
+        dist[i, order] = new_d
+        dist[order, i] = new_d
+        size[i] += size[j]
+        row_id[i] = q
+        # rows whose neighbour merged rescan; the others compare with q,
+        # whose id is the largest, so on equal distance the cached id stays
+        lost = (near_r[order] == i) | (near_r[order] == j)
+        closer = ~lost & (new_d < near_d[order])
+        near_d[order[closer]] = new_d[closer]
+        near_r[order[closer]] = i
+        order = np.append(order, i)
+        near_d[i] = np.inf
+        rescan = order[:-1][lost]
+        if rescan.size:
+            near_d[rescan], near_r[rescan] = _nearest(dist, rescan, order, row_id)
     return Linkage(n_samples=n, merges=tuple(merges))
 
 

@@ -11,6 +11,8 @@ import itertools
 
 import numpy as np
 
+from tsagg.hierarchy import Merge
+
 
 def ward_merge_cost(samples, members_a, members_b):
     """Within-cluster SSE increase of merging two clusters, from scratch."""
@@ -56,6 +58,56 @@ def naive_ward(samples, connectivity=None):
         merges.append((id_a, id_b, cost, len(active[new_id])))
         step += 1
     return merges
+
+
+def dense_ward(samples):
+    """The dense Lance-Williams period linkage that the cached one replaced.
+
+    Two (2n - 1)^2 matrices hold the distances and an upper-triangle search
+    copy; every merge takes one argmin over the whole search matrix, whose
+    row-major order is the (cost, id_a, id_b) tie rule. Returns the merges.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim == 1:
+        samples = samples.reshape(-1, 1)
+    n = samples.shape[0]
+    n_merges = n - 1
+    total = n + n_merges
+
+    size = np.zeros(total, dtype=np.float64)
+    size[:n] = 1.0
+    # full symmetric Lance-Williams distances among active clusters
+    dist = np.full((total, total), np.inf)
+    dist[:n, :n] = sq_distance_matrix(samples)
+    # search matrix: upper triangle of active pairs, inf elsewhere
+    search = np.full((total, total), np.inf)
+    iu = np.triu_indices(n, k=1)
+    search[:n, :n][iu] = dist[:n, :n][iu]
+
+    merges = []
+    for step in range(n_merges):
+        flat = int(np.argmin(search))
+        i, j = divmod(flat, total)
+        q = n + step
+        size[q] = size[i] + size[j]
+        merges.append(Merge(id_a=i, id_b=j, cost=float(dist[i, j]), size=int(size[q])))
+
+        others = np.flatnonzero(size[:q] > 0)
+        others = others[(others != i) & (others != j)]
+        nm = size[others]
+        new_d = ((size[i] + nm) * dist[i, others]
+                 + (size[j] + nm) * dist[j, others]
+                 - nm * dist[i, j]) / (size[i] + size[j] + nm)
+        dist[q, others] = new_d
+        dist[others, q] = new_d
+        search[i, :] = np.inf
+        search[:, i] = np.inf
+        search[j, :] = np.inf
+        search[:, j] = np.inf
+        # inactive clusters keep an inf distance to q
+        search[:q, q] = dist[:q, q]
+        size[i] = size[j] = 0.0
+    return tuple(merges)
 
 
 def chain_matrix(n):

@@ -208,6 +208,17 @@ class TestAggregate:
                      "--typical-periods", "3"])
         assert code == 3
 
+    def test_linkage_beyond_free_memory_is_config_error(self, year_csv, tmp_path,
+                                                        monkeypatch, capsys):
+        # hourly periods of a year: 8 * 8760^2 bytes for the distance matrix
+        monkeypatch.setattr("tsagg.hierarchy.available_memory", lambda: 100_000_000)
+        code = main(["aggregate", "--input", str(year_csv), "--out-dir",
+                     str(tmp_path / "out"), "--period-length", "1",
+                     "--typical-periods", "8"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "613.9 MB" in err and "100.0 MB" in err
+
     def test_unknown_flag_is_config_error(self):
         code = main(["aggregate", "--bogus"])
         assert code == 3

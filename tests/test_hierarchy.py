@@ -1,13 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import ConfigError, DataError
 from tsagg.hierarchy import medoid_of, sq_distances, ward_cluster, ward_linkage
+from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
-from helpers import chain_partition, segment_one
+from helpers import build_frame, chain_partition, segment_one
 from reference import (
     best_partition,
     chain_matrix,
+    dense_ward,
     naive_cut,
     naive_ward,
     sq_distance_matrix,
@@ -75,6 +82,81 @@ class TestOracleEquivalence:
             for k in range(1, n + 1):
                 assert_same_partition(chain_partition(samples, k),
                                       naive_cut(n, expected, k))
+
+
+@st.composite
+def tie_heavy_periods(draw):
+    """0..2 integer periods repeated 1-4 times, in shuffled order.
+
+    Sometimes one column is constant, and sometimes every row is the same.
+    """
+    n_cols = draw(st.integers(1, 6))
+    pool = draw(arrays(np.int64, (draw(st.integers(2, 15)), n_cols),
+                       elements=st.integers(0, 2)))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(pool), max_size=len(pool)))
+    rows = np.repeat(pool, repeats, axis=0).astype(np.float64)
+    rows = rows[draw(st.permutations(range(len(rows))))]
+    if draw(st.booleans()):
+        rows[:, draw(st.integers(0, n_cols - 1))] = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        rows[:] = rows[0]
+    return rows
+
+
+def spokes(n_spokes):
+    """Unit spokes, then their hub at the origin: every spoke's nearest row."""
+    return np.vstack([np.eye(n_spokes), np.zeros((1, n_spokes))])
+
+
+class TestDenseEquality:
+    """The cached linkage takes the dense linkage's merges bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_periods())
+    # the first merge takes the hub, so every spoke's cached neighbour is gone
+    @example(spokes(20))
+    def test_tie_heavy(self, rows):
+        assert ward_linkage(rows).merges == dense_ward(rows)
+
+    def test_synthetic_year(self):
+        values = np.column_stack([solar_profile(365, seed=4), wind_profile(365, seed=4),
+                                  load_profile(365, seed=4)])
+        rows = build_frame(values, 24).rows
+        assert ward_linkage(rows).merges == dense_ward(rows)
+
+
+class TestMemory:
+    def test_peak_is_one_square_matrix(self):
+        n = 730
+        rows = np.random.default_rng(11).standard_normal((n, 72))
+        tracemalloc.start()
+        try:
+            ward_linkage(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n * n
+
+    def test_matrix_beyond_free_memory_is_config_error(self, monkeypatch):
+        # 8 * 25^2 bytes fit in 5,000; 8 * 26^2 do not
+        monkeypatch.setattr("tsagg.hierarchy.available_memory", lambda: 5_000)
+        ward_linkage(np.zeros((25, 1)))
+        with pytest.raises(ConfigError, match="needs"):
+            ward_linkage(np.zeros((26, 1)))
+
+
+class TestCut:
+    def test_tie_heavy_every_k(self):
+        rng = np.random.default_rng(12)
+        pool = rng.integers(0, 3, (12, 3)).astype(np.float64)
+        rows = pool[rng.permutation(np.repeat(np.arange(12), 5))]
+        linkage = ward_linkage(rows)
+        merges = [(m.id_a, m.id_b, m.cost, m.size) for m in linkage.merges]
+        for k in range(1, 61):
+            cut = linkage.cut(k)
+            expected = naive_cut(60, merges, k)
+            np.testing.assert_array_equal(cut.assignment, expected)
+            np.testing.assert_array_equal(cut.sizes, np.bincount(expected))
 
 
 class TestLinkageProperties:
