@@ -15,7 +15,7 @@ with the lexicographically smallest (id_a, id_b), id_a < id_b, wins.
 The period linkage is Müllner's generic algorithm ("Modern hierarchical,
 agglomerative clustering algorithms", arXiv:1109.2378). It keeps one n x n
 distance matrix, whose rows the merged clusters reuse, so it needs 8 n^2
-bytes; a run that would not fit in free memory fails with a ConfigError
+bytes; a run that would not fit in available memory fails with a ConfigError
 first. Each row caches its nearest cluster among larger ids; a merge scans
 the n cached entries and rescans only the rows whose neighbour it merged.
 The time is O(n^2) when few rows share a neighbour and O(n^3) at worst.
@@ -63,26 +63,31 @@ class Linkage:
                 break
             parent = up
         # label clusters 0..k-1 in order of first appearance
-        _, first_seen, inverse = np.unique(parent[:n], return_index=True,
-                                           return_inverse=True)
+        roots, first_seen, inverse = np.unique(parent[:n], return_index=True,
+                                               return_inverse=True)
+        by_appearance = np.argsort(first_seen)
         label = np.empty(k, dtype=np.int64)
-        label[np.argsort(first_seen)] = np.arange(k)
+        label[by_appearance] = np.arange(k)
         assignment = label[inverse]
         sizes = np.bincount(assignment, minlength=k)
-        return ClusterResult(k=k, assignment=assignment, sizes=sizes)
+        return ClusterResult(k=k, assignment=assignment, sizes=sizes,
+                             nodes=roots[by_appearance])
 
 
 @dataclass(frozen=True)
 class ClusterResult:
-    """Per-sample cluster index in [0, k) plus the cluster sizes |C_k|.
+    """Per-sample cluster index in [0, k), the cluster sizes |C_k| and nodes.
 
     Clusters are numbered by first appearance in sample order, so the
-    labelling is reproducible.
+    labelling is reproducible. nodes[c] is cluster c's node in the merge
+    history: its sample id for a singleton, n + m for the cluster born in
+    merge m.
     """
 
     k: int
     assignment: np.ndarray
     sizes: np.ndarray
+    nodes: np.ndarray
 
     @property
     def n_samples(self) -> int:
@@ -115,8 +120,23 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
     return out
 
 
+MEMINFO = "/proc/meminfo"
+
+
 def available_memory() -> int | None:
-    """Free physical memory in bytes, or None where the system cannot say."""
+    """Memory available to a new allocation in bytes, or None if unknown.
+
+    That is the kernel's MemAvailable estimate where meminfo gives one: free
+    pages plus the page cache it can reclaim. Elsewhere it is the free page
+    count times the page size.
+    """
+    try:
+        with open(MEMINFO) as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError):
+        pass
     try:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
@@ -145,7 +165,11 @@ def _nearest(dist, rows, order, row_id):
 
 
 def ward_linkage(samples: np.ndarray) -> Linkage:
-    """Build the full merge history (n - 1 merges) for the given samples."""
+    """Build the full merge history (n - 1 merges) for the given samples.
+
+    Samples that are not finite, or whose squared distances or merge costs
+    overflow the float range, are a DataError.
+    """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
         samples = samples.reshape(-1, 1)
@@ -158,8 +182,21 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
     if free is not None and needed > free:
         raise ConfigError(
             f"clustering {n} periods needs {needed / 1e6:.1f} MB for the "
-            f"distance matrix, but only {free / 1e6:.1f} MB of memory is free")
+            f"distance matrix, but only {free / 1e6:.1f} MB of memory is available")
+    # an overflow would turn distances into inf and the merges into
+    # self-merges, so any overflow rejects the samples
+    try:
+        with np.errstate(over="raise"):
+            merges = _generic_ward(samples)
+    except FloatingPointError:
+        raise DataError("squared distances or merge costs between the "
+                        "samples overflow; rescale them") from None
+    return Linkage(n_samples=n, merges=merges)
 
+
+def _generic_ward(samples: np.ndarray) -> tuple[Merge, ...]:
+    """Müllner's generic algorithm on the cached nearest neighbours."""
+    n = samples.shape[0]
     # one row per active cluster; the cluster born in a merge takes over
     # the row of id_a. Per row: its cluster id, size and cached neighbour,
     # the (distance, row) of the smallest (distance, id) among larger ids.
@@ -197,7 +234,7 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
         rescan = order[:-1][lost]
         if rescan.size:
             near_d[rescan], near_r[rescan] = _nearest(dist, rescan, order, row_id)
-    return Linkage(n_samples=n, merges=tuple(merges))
+    return tuple(merges)
 
 
 def ward_cluster(samples: np.ndarray, k: int) -> ClusterResult:

@@ -88,13 +88,19 @@ def build_grid(max_value: int) -> list[int]:
 
 
 class ConfigEvaluator:
-    """Caches the pipeline stages shared between configurations.
+    """Caches the pipeline stages shared between configurations, per node.
 
-    The period linkage is built once; cluster cuts, representatives, and
-    the segment merge order of all representatives (one (p, steps - 1)
-    rank array) are cached per typical-period count, and full evaluations
-    per (p, s). All stages are deterministic, so cached results are
-    identical to recomputed ones.
+    The period linkage is built once and cut once per typical-period count.
+    A cut at a larger p only splits clusters, so most clusters of a cut are
+    dendrogram nodes that an earlier cut already had. The node is the unit
+    of caching: one store holds a representative profile and a segment
+    merge order (a rank row of ``segment_linkage``) per node met so far.
+    The first cut at a p runs ``represent`` and ``segment_linkage`` once,
+    batched, on its clusters whose node is new; (p, s) then gathers its k
+    profiles and rank rows from the store, and full evaluations are cached
+    per (p, s). Both stages treat each cluster on its own and pass its
+    members in ascending order, so a gathered row is the same bytes as one
+    computed for the whole cut.
     """
 
     def __init__(self, frame: PeriodFrame, method: str):
@@ -103,19 +109,37 @@ class ConfigEvaluator:
         self.period_linkage: Linkage = ward_linkage(frame.rows)
         self._original = frame.unrolled()
         self._clusters: dict[int, ClusterResult] = {}
-        self._reps: dict[int, RepresentativeSet] = {}
-        self._seg_ranks: dict[int, np.ndarray] = {}
+        # node id -> row of the node store, -1 until the node is computed
+        self._row = np.full(2 * frame.n_periods - 1, -1, dtype=np.int64)
+        self._profiles = np.empty((0, frame.steps_per_period, frame.n_attributes))
+        self._ranks = np.empty((0, frame.steps_per_period - 1), dtype=np.int64)
         self._states: dict[tuple[int, int], PathwayState] = {}
 
     def clusters(self, p: int) -> ClusterResult:
         if p not in self._clusters:
-            self._clusters[p] = self.period_linkage.cut(p)
+            clusters = self.period_linkage.cut(p)
+            self._store_new_nodes(clusters)
+            self._clusters[p] = clusters
         return self._clusters[p]
 
-    def representatives(self, p: int) -> RepresentativeSet:
-        if p not in self._reps:
-            self._reps[p] = represent(self.frame, self.clusters(p), self.method)
-        return self._reps[p]
+    def _store_new_nodes(self, clusters: ClusterResult) -> None:
+        new = np.flatnonzero(self._row[clusters.nodes] < 0)
+        if not new.size:
+            return
+        # a cut whose nodes are all new is its own batch: no copy of the rows
+        frame, sub = self.frame, clusters
+        if new.size < clusters.k:
+            # the member periods of the new nodes, ascending, clustered by node
+            label = np.full(clusters.k, -1)
+            label[new] = np.arange(new.size)
+            periods = np.flatnonzero(label[clusters.assignment] >= 0)
+            sub = ClusterResult(k=new.size, assignment=label[clusters.assignment[periods]],
+                                sizes=clusters.sizes[new], nodes=clusters.nodes[new])
+            frame = replace(frame, n_periods=periods.size, rows=frame.rows[periods])
+        profiles = represent(frame, sub, self.method).profiles
+        self._row[sub.nodes] = self._profiles.shape[0] + np.arange(new.size)
+        self._profiles = np.concatenate([self._profiles, profiles])
+        self._ranks = np.concatenate([self._ranks, segment_linkage(profiles)])
 
     def reconstruction(self, p: int, s: int) -> tuple[ClusterResult, RepresentativeSet,
                                                        np.ndarray]:
@@ -124,10 +148,11 @@ class ConfigEvaluator:
             raise ConfigError(f"p={p} out of range [1, {self.frame.n_periods}]")
         if not 1 <= s <= self.frame.steps_per_period:
             raise ConfigError(f"s={s} out of range [1, {self.frame.steps_per_period}]")
-        clusters, reps = self.clusters(p), self.representatives(p)
-        if p not in self._seg_ranks:
-            self._seg_ranks[p] = segment_linkage(reps.profiles)
-        reps = replace(reps, segments=cut_layout(reps.profiles, self._seg_ranks[p], s))
+        clusters = self.clusters(p)
+        rows = self._row[clusters.nodes]
+        profiles = self._profiles[rows]
+        reps = RepresentativeSet(profiles=profiles, weights=clusters.sizes.copy(),
+                                 segments=cut_layout(profiles, self._ranks[rows], s))
         return clusters, reps, reconstruct(self.frame, clusters, reps)
 
     def evaluate(self, p: int, s: int) -> PathwayState:

@@ -118,20 +118,31 @@ def chain_matrix(n):
     return m
 
 
-def naive_cut(n, merges, k):
-    """Partition after the first n - k merges, labelled by first appearance."""
+def naive_roots(n, merges, k):
+    """Each sample's root node after the first n - k merges, by walking up."""
     parent = {}
     for m, (id_a, id_b, _, _) in enumerate(merges[:n - k]):
         parent[id_a] = n + m
         parent[id_b] = n + m
-    assignment = []
-    labels = {}
+    roots = []
     for i in range(n):
         r = i
         while r in parent:
             r = parent[r]
-        assignment.append(labels.setdefault(r, len(labels)))
-    return np.array(assignment)
+        roots.append(r)
+    return roots
+
+
+def naive_cut(n, merges, k):
+    """Partition after the first n - k merges, labelled by first appearance."""
+    labels = {}
+    return np.array([labels.setdefault(r, len(labels))
+                     for r in naive_roots(n, merges, k)])
+
+
+def naive_nodes(n, merges, k):
+    """The root node of each cluster of :func:`naive_cut`, in label order."""
+    return np.array(list(dict.fromkeys(naive_roots(n, merges, k))))
 
 
 def sse_of_partition(samples, assignment):

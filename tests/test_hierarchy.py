@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import medoid_of, sq_distances, ward_cluster, ward_linkage
+from tsagg.hierarchy import (
+    available_memory,
+    medoid_of,
+    sq_distances,
+    ward_cluster,
+    ward_linkage,
+)
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
 from helpers import build_frame, chain_partition, segment_one
@@ -16,6 +23,7 @@ from reference import (
     chain_matrix,
     dense_ward,
     naive_cut,
+    naive_nodes,
     naive_ward,
     sq_distance_matrix,
 )
@@ -53,6 +61,18 @@ class TestWardExamples:
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(DataError):
             ward_cluster(np.array([0.0, np.nan]), 1)
+
+    def test_overflowing_distances_rejected(self):
+        # finite samples whose squared distances overflow to inf; the CLI
+        # normalizes first, so only library callers can pass them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="overflow"):
+                ward_linkage([[0.0], [1e200], [2e200], [1.0]])
+            # the squared distances fit (1e308 at most), but merging 0 and 1
+            # updates the distance to 1e154 by (2e308 + 2e308 - 1) / 3
+            with pytest.raises(DataError, match="overflow"):
+                ward_linkage([[0.0], [1e154], [1.0]])
 
 
 class TestOracleEquivalence:
@@ -137,6 +157,26 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 3 * 8 * n * n
 
+    def test_available_memory_reads_meminfo(self, tmp_path, monkeypatch):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:        8211520 kB\n"
+                           "MemFree:         6676480 kB\n"
+                           "MemAvailable:    7363328 kB\n")
+        monkeypatch.setattr("tsagg.hierarchy.MEMINFO", str(meminfo))
+        assert available_memory() == 7363328 * 1024
+
+    @pytest.mark.parametrize("meminfo", [None, "MemTotal: 8211520 kB\n"],
+                             ids=["no-meminfo", "no-MemAvailable"])
+    def test_available_memory_falls_back_to_free_pages(self, tmp_path, monkeypatch,
+                                                      meminfo):
+        path = tmp_path / "meminfo"
+        if meminfo is not None:
+            path.write_text(meminfo)
+        monkeypatch.setattr("tsagg.hierarchy.MEMINFO", str(path))
+        pages = {"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr("os.sysconf", pages.__getitem__)
+        assert available_memory() == 4096000
+
     def test_matrix_beyond_free_memory_is_config_error(self, monkeypatch):
         # 8 * 25^2 bytes fit in 5,000; 8 * 26^2 do not
         monkeypatch.setattr("tsagg.hierarchy.available_memory", lambda: 5_000)
@@ -145,18 +185,31 @@ class TestMemory:
             ward_linkage(np.zeros((26, 1)))
 
 
+def tie_heavy_sixty():
+    """60 rows: 12 integer 0..2 rows of 3 columns, each 5 times, shuffled."""
+    rng = np.random.default_rng(12)
+    pool = rng.integers(0, 3, (12, 3)).astype(np.float64)
+    return pool[rng.permutation(np.repeat(np.arange(12), 5))]
+
+
 class TestCut:
     def test_tie_heavy_every_k(self):
-        rng = np.random.default_rng(12)
-        pool = rng.integers(0, 3, (12, 3)).astype(np.float64)
-        rows = pool[rng.permutation(np.repeat(np.arange(12), 5))]
-        linkage = ward_linkage(rows)
+        linkage = ward_linkage(tie_heavy_sixty())
         merges = [(m.id_a, m.id_b, m.cost, m.size) for m in linkage.merges]
         for k in range(1, 61):
             cut = linkage.cut(k)
             expected = naive_cut(60, merges, k)
             np.testing.assert_array_equal(cut.assignment, expected)
             np.testing.assert_array_equal(cut.sizes, np.bincount(expected))
+
+    def test_nodes_every_k(self):
+        linkage = ward_linkage(tie_heavy_sixty())
+        merges = [(m.id_a, m.id_b, m.cost, m.size) for m in linkage.merges]
+        for k in range(1, 61):
+            np.testing.assert_array_equal(linkage.cut(k).nodes, naive_nodes(60, merges, k))
+        # singletons are their sample ids; the last merge's cluster is 2n - 2
+        np.testing.assert_array_equal(linkage.cut(60).nodes, np.arange(60))
+        assert linkage.cut(1).nodes.tolist() == [118]
 
 
 class TestLinkageProperties:

@@ -1,9 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.testing import assert_array_equal
 
+from tsagg import pathway
 from tsagg.errors import ConfigError
+from tsagg.hierarchy import ward_linkage
+from tsagg.metrics import reconstruct, rmse_tot
 from tsagg.pathway import (
     MORE_PERIODS,
     MORE_SEGMENTS,
@@ -15,8 +22,11 @@ from tsagg.pathway import (
     pathway_search,
     select_config,
 )
+from tsagg.representation import REPRESENTATION_METHODS, represent
+from tsagg.segmentation import cut_layout, segment_linkage
 
 from helpers import build_frame
+from reference import naive_nodes
 
 
 def small_frame(seed=0, n_periods=16, steps=12, n_attrs=1):
@@ -77,6 +87,68 @@ class TestEvaluateConfig:
             evaluator.evaluate(0, 1)
         with pytest.raises(ConfigError):
             evaluator.evaluate(1, 99)
+
+
+@st.composite
+def tie_heavy_frames(draw):
+    """0..2 integer periods repeated 1-4 times in shuffled order.
+
+    Sometimes one attribute is constant.
+    """
+    steps = draw(st.integers(1, 6))
+    n_attrs = draw(st.integers(1, 3))
+    pool = draw(arrays(np.int64, (draw(st.integers(1, 6)), steps, n_attrs),
+                       elements=st.integers(0, 2)))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(pool), max_size=len(pool)))
+    periods = np.repeat(pool, repeats, axis=0).astype(np.float64)
+    periods = periods[draw(st.permutations(range(len(periods))))]
+    if draw(st.booleans()):
+        periods[:, :, draw(st.integers(0, n_attrs - 1))] = draw(st.integers(0, 2))
+    return build_frame(periods.reshape(-1, n_attrs), steps)
+
+
+class TestNodeCache:
+    @settings(max_examples=150, deadline=None)
+    @given(tie_heavy_frames(), st.sampled_from(REPRESENTATION_METHODS), st.data())
+    def test_matches_fresh_pipeline(self, frame, method, data):
+        # configurations in a drawn order, then back: repeats and smaller p
+        visits = data.draw(st.lists(
+            st.tuples(st.integers(1, frame.n_periods),
+                      st.integers(1, frame.steps_per_period)), min_size=1, max_size=6))
+        evaluator = ConfigEvaluator(frame, method)
+        linkage = ward_linkage(frame.rows)
+        for p, s in visits + visits[::-1]:
+            clusters = linkage.cut(p)
+            fresh = represent(frame, clusters, method)
+            layout = cut_layout(fresh.profiles, segment_linkage(fresh.profiles), s)
+            expected = reconstruct(frame, clusters, replace(fresh, segments=layout))
+            got_clusters, reps, rec = evaluator.reconstruction(p, s)
+            assert_array_equal(got_clusters.assignment, clusters.assignment)
+            assert_array_equal(reps.profiles, fresh.profiles)
+            assert_array_equal(reps.weights, fresh.weights)
+            assert_array_equal(reps.segments.lengths, layout.lengths)
+            assert_array_equal(reps.segments.values, layout.values)
+            assert_array_equal(rec, expected)
+            assert evaluator.evaluate(p, s).rmse == rmse_tot(frame.unrolled(), expected)
+
+    def test_segment_linkage_sees_each_node_once(self, monkeypatch):
+        frame = small_frame(seed=15, n_periods=60, steps=24, n_attrs=2)
+        batches = []
+
+        def counting(profiles):
+            batches.append(len(profiles))
+            return segment_linkage(profiles)
+
+        monkeypatch.setattr(pathway, "segment_linkage", counting)
+        trace = search(frame, "distribution")
+        # an unbounded search ends at full resolution, so it cut at every grid p
+        assert trace.final.p == frame.n_periods
+        grid = build_grid(frame.n_periods)
+        merges = [(m.id_a, m.id_b, m.cost, m.size)
+                  for m in ward_linkage(frame.rows).merges]
+        nodes = set().union(*(naive_nodes(frame.n_periods, merges, p).tolist()
+                              for p in grid))
+        assert sum(batches) == len(nodes) < sum(grid)
 
 
 class TestPathwaySearch:
