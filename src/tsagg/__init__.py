@@ -11,7 +11,7 @@ from .core import (
     validate_and_build,
 )
 from .errors import ConfigError, DataError
-from .hierarchy import ClusterResult, Linkage, medoid_of, ward_cluster, ward_linkage
+from .hierarchy import ClusterResult, Linkage, medoid_of, ward_linkage
 from .metrics import (
     MetricsReport,
     attribute_rmse,
@@ -29,7 +29,7 @@ from .pathway import (
     select_config,
 )
 from .representation import RepresentativeSet, represent
-from .segmentation import SegmentLayout, segment_representatives
+from .segmentation import SegmentLayout
 
 __all__ = [
     "ClusterResult",
@@ -57,10 +57,8 @@ __all__ = [
     "reconstruct",
     "represent",
     "rmse_tot",
-    "segment_representatives",
     "select_config",
     "to_periods",
     "validate_and_build",
-    "ward_cluster",
     "ward_linkage",
 ]

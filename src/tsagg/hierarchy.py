@@ -93,9 +93,6 @@ class ClusterResult:
     def n_samples(self) -> int:
         return self.assignment.shape[0]
 
-    def members(self, cluster: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment == cluster)
-
 
 def sq_distances(samples: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between all rows, shape (n, n).
@@ -235,15 +232,6 @@ def _generic_ward(samples: np.ndarray) -> tuple[Merge, ...]:
         if rescan.size:
             near_d[rescan], near_r[rescan] = _nearest(dist, rescan, order, row_id)
     return tuple(merges)
-
-
-def ward_cluster(samples: np.ndarray, k: int) -> ClusterResult:
-    """Cluster samples into k groups under Ward's criterion."""
-    samples = np.asarray(samples, dtype=np.float64)
-    n = samples.shape[0]
-    if not 1 <= k <= n:
-        raise ConfigError(f"k={k} out of range [1, {n}]")
-    return ward_linkage(samples).cut(k)
 
 
 def medoid_of(samples: np.ndarray, members) -> int:

@@ -17,6 +17,7 @@ surpassed the optional cap (the surpassing state is kept in the trace).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -91,16 +92,13 @@ class ConfigEvaluator:
     """Caches the pipeline stages shared between configurations, per node.
 
     The period linkage is built once and cut once per typical-period count.
-    A cut at a larger p only splits clusters, so most clusters of a cut are
-    dendrogram nodes that an earlier cut already had. The node is the unit
-    of caching: one store holds a representative profile and a segment
-    merge order (a rank row of ``segment_linkage``) per node met so far.
-    The first cut at a p runs ``represent`` and ``segment_linkage`` once,
-    batched, on its clusters whose node is new; (p, s) then gathers its k
-    profiles and rank rows from the store, and full evaluations are cached
-    per (p, s). Both stages treat each cluster on its own and pass its
-    members in ascending order, so a gathered row is the same bytes as one
-    computed for the whole cut.
+    Most clusters of a cut are dendrogram nodes an earlier cut had, so one
+    store holds a representative profile and a segment merge order (a rank
+    row of ``segment_linkage``) per node. ``prepare(counts)`` cuts at each
+    new count, runs ``represent`` per cut on its new nodes, then
+    ``segment_linkage`` once on all of them; ``clusters(p)`` prepares one
+    count. (p, s) gathers its rows from the store and is cached. Both stages
+    treat each cluster alone, members ascending, so rows are the same bytes.
     """
 
     def __init__(self, frame: PeriodFrame, method: str):
@@ -116,30 +114,35 @@ class ConfigEvaluator:
         self._states: dict[tuple[int, int], PathwayState] = {}
 
     def clusters(self, p: int) -> ClusterResult:
-        if p not in self._clusters:
-            clusters = self.period_linkage.cut(p)
-            self._store_new_nodes(clusters)
-            self._clusters[p] = clusters
+        self.prepare([p])
         return self._clusters[p]
 
-    def _store_new_nodes(self, clusters: ClusterResult) -> None:
-        new = np.flatnonzero(self._row[clusters.nodes] < 0)
-        if not new.size:
-            return
-        # a cut whose nodes are all new is its own batch: no copy of the rows
-        frame, sub = self.frame, clusters
-        if new.size < clusters.k:
-            # the member periods of the new nodes, ascending, clustered by node
-            label = np.full(clusters.k, -1)
-            label[new] = np.arange(new.size)
-            periods = np.flatnonzero(label[clusters.assignment] >= 0)
-            sub = ClusterResult(k=new.size, assignment=label[clusters.assignment[periods]],
-                                sizes=clusters.sizes[new], nodes=clusters.nodes[new])
-            frame = replace(frame, n_periods=periods.size, rows=frame.rows[periods])
-        profiles = represent(frame, sub, self.method).profiles
-        self._row[sub.nodes] = self._profiles.shape[0] + np.arange(new.size)
-        self._profiles = np.concatenate([self._profiles, profiles])
-        self._ranks = np.concatenate([self._ranks, segment_linkage(profiles)])
+    def prepare(self, counts: list[int]) -> None:
+        """Cut at every new typical-period count and store the new nodes."""
+        start, batch = self._profiles.shape[0], []
+        for p in counts:
+            if p in self._clusters:
+                continue
+            clusters = self.period_linkage.cut(p)
+            new = np.flatnonzero(self._row[clusters.nodes] < 0)
+            # a cut whose nodes are all new is its own sub-clustering: no copy
+            frame, sub = self.frame, clusters
+            if 0 < new.size < clusters.k:
+                # the member periods of the new nodes, ascending, clustered by node
+                label = np.full(clusters.k, -1)
+                label[new] = np.arange(new.size)
+                periods = np.flatnonzero(label[clusters.assignment] >= 0)
+                sub = ClusterResult(k=new.size, assignment=label[clusters.assignment[periods]],
+                                    sizes=clusters.sizes[new], nodes=clusters.nodes[new])
+                frame = replace(frame, n_periods=periods.size, rows=frame.rows[periods])
+            if new.size:
+                profiles = represent(frame, sub, self.method).profiles
+                self._row[sub.nodes] = start + sum(map(len, batch)) + np.arange(new.size)
+                batch.append(profiles)
+            self._clusters[p] = clusters
+        if batch:
+            self._profiles = np.concatenate([self._profiles, *batch])
+            self._ranks = np.concatenate([self._ranks, segment_linkage(self._profiles[start:])])
 
     def reconstruction(self, p: int, s: int) -> tuple[ClusterResult, RepresentativeSet,
                                                        np.ndarray]:
@@ -167,12 +170,19 @@ class ConfigEvaluator:
 
 def pathway_search(evaluator: ConfigEvaluator,
                    max_total_steps: int | None = None) -> PathwayTrace:
-    """Trace the steepest-descent pathway from (1, 1) toward full resolution."""
+    """Trace the steepest-descent pathway from (1, 1) toward full resolution.
+
+    One ``segment_linkage`` call first links the nodes of every p it can
+    reach: the whole grid when unbounded, otherwise the grid up to
+    max_total_steps and the next count, a candidate of a state within it.
+    """
     frame = evaluator.frame
     grid_p = build_grid(frame.n_periods)
     grid_s = build_grid(frame.steps_per_period)
-    ip = 0
-    i_s = 0
+    reachable = grid_p if max_total_steps is None else (
+        grid_p[:bisect.bisect_right(grid_p, max_total_steps) + 1])
+    evaluator.prepare(reachable)
+    ip = i_s = 0
     states = [evaluator.evaluate(1, 1)]
     moves = []
     while True:
@@ -184,7 +194,6 @@ def pathway_search(evaluator: ConfigEvaluator,
         if not (can_p or can_s):
             break
         ratio_p = ratio_s = None
-        cand_p = cand_s = None
         if can_p:
             cand_p = evaluator.evaluate(grid_p[ip + 1], current.s)
             ratio_p = (cand_p.rmse - current.rmse) / (
@@ -209,10 +218,7 @@ def select_config(trace: PathwayTrace, budget: int) -> PathwayState:
     """Last traced state whose total step count fits the budget."""
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
-    chosen = None
-    for state in trace.states:
-        if state.total_steps <= budget:
-            chosen = state
-    if chosen is None:
+    chosen = [state for state in trace.states if state.total_steps <= budget]
+    if not chosen:
         raise ConfigError("trace holds no state within the budget")
-    return chosen
+    return chosen[-1]

@@ -15,17 +15,18 @@ a and b cost n_a n_b / (n_a + n_b) * |mean_a - mean_b|^2 (half the
 doubled scale reported there, which orders candidates the same), computed
 from run sizes and sums. Run ids are 0..n-1 for the steps and n+m for the
 run created by merge m; among equal costs the smallest (id_a, id_b),
-id_a < id_b, wins.
+id_a < id_b, wins. Each boundary keeps its cost and tie key, and a merge
+re-costs only the two beside the merged run, by the same expression: a
+merge of k profiles of n steps is O(k n) work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .representation import RepresentativeSet
 
 
 @dataclass(frozen=True)
@@ -54,40 +55,52 @@ class SegmentLayout:
         return self.lengths.shape[1]
 
 
+def _sq_norms(diff):
+    """Row-wise ``diff @ diff`` by the oracle's BLAS dot; an elementwise sum rounds apart ties."""
+    return (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+
+
 def segment_linkage(profiles: np.ndarray) -> np.ndarray:
     """Chain-constrained Ward merge order of k profiles at once.
 
     profiles has shape (k, steps, N_a). Returns ranks of shape
     (k, steps - 1): ranks[c, b] is the merge at which the boundary between
-    steps b and b + 1 of profile c is removed.
+    steps b and b + 1 of profile c is removed. A merge re-costs only the
+    two boundaries beside the merged run: O(k * steps) work per merge.
     """
     profiles = np.asarray(profiles, dtype=np.float64)
-    k, n, _ = profiles.shape
-    rows = np.arange(k)
-    # every step carries the size, sum and id of the run it belongs to
-    size = np.ones((k, n))
-    sums = profiles.copy()
-    ids = np.tile(np.arange(n), (k, 1))
-    ranks = np.full((k, n - 1), -1, dtype=np.int64)
+    k, n, n_attrs = profiles.shape
+    # the k * n steps in one flat array. A run [l..r] keeps its size, sum and
+    # id at l, and link[l] = r, link[r] = l. Boundary q lies between steps q
+    # and q + 1; a profile's last step has none
+    size = np.ones(k * n)
+    sums = profiles.reshape(k * n, n_attrs).copy()
+    ids = np.tile(np.arange(n), k)
+    link = np.arange(k * n)
+    row_start, done = np.arange(0, k * n, n), 4 * n * n
+    cost, key = np.full(k * n, np.inf), np.full(k * n, done)
+    ranks = np.empty(k * n, dtype=np.int64)
+    # single steps are their own means, and 1 * 1 / (1 + 1) * sq is 0.5 * sq
+    cost.reshape(k, n)[:, :-1] = 0.5 * _sq_norms(profiles[:, :-1] - profiles[:, 1:])
+    key.reshape(k, n)[:, :-1] = np.arange(n - 1) * 2 * n + np.arange(1, n)
     for m in range(n - 1):
-        n_a, n_b = size[:, :-1], size[:, 1:]
-        means = sums / size[:, :, None]
-        diff = means[:, :-1] - means[:, 1:]
-        # matmul takes the same BLAS dot as the oracle's `diff @ diff`, so
-        # exact ties stay exact; an elementwise sum rounds differently
-        sq = (diff[:, :, None, :] @ diff[:, :, :, None])[:, :, 0, 0]
-        cost = np.where(ranks < 0, n_a * n_b / (n_a + n_b) * sq, np.inf)
-        id_a = np.minimum(ids[:, :-1], ids[:, 1:])
-        id_b = np.maximum(ids[:, :-1], ids[:, 1:])
-        tied = cost == cost.min(axis=1, keepdims=True)
-        b = np.where(tied, id_a * 2 * n + id_b, 4 * n * n).argmin(axis=1)
-        ranks[rows, b] = m
-        member = (ids == ids[rows, b, None]) | (ids == ids[rows, b + 1, None])
-        size = np.where(member, (size[rows, b] + size[rows, b + 1])[:, None], size)
-        sums = np.where(member[:, :, None],
-                        (sums[rows, b] + sums[rows, b + 1])[:, None, :], sums)
-        ids[member] = n + m
-    return ranks
+        grid = cost.reshape(k, n)
+        tied = grid == grid.min(axis=1, keepdims=True)
+        q = row_start + np.where(tied, key.reshape(k, n), done).argmin(axis=1)
+        ranks[q], cost[q], key[q] = m, np.inf, done
+        left, right = link[q], link[q + 1]
+        size[left] += size[q + 1]
+        sums[left] += sums[q + 1]
+        ids[left] = n + m
+        link[left], link[right] = right, left
+        # only the boundaries beside the new run change, where they exist
+        q = np.concatenate([left[left > row_start] - 1,
+                            right[right < row_start + n - 1]])
+        a, b = link[q], q + 1
+        diff = sums[a] / size[a, None] - sums[b] / size[b, None]
+        cost[q] = size[a] * size[b] / (size[a] + size[b]) * _sq_norms(diff)
+        key[q] = np.minimum(ids[a], ids[b]) * 2 * n + np.maximum(ids[a], ids[b])
+    return ranks.reshape(k, n)[:, :-1].copy()
 
 
 def cut_layout(profiles: np.ndarray, ranks: np.ndarray, n_segments: int) -> SegmentLayout:
@@ -110,8 +123,3 @@ def cut_layout(profiles: np.ndarray, ranks: np.ndarray, n_segments: int) -> Segm
         values[c, j] = profiles[c[:, None], window].mean(axis=1)
     return SegmentLayout(lengths=lengths, values=values)
 
-
-def segment_representatives(reps: RepresentativeSet, n_segments: int) -> RepresentativeSet:
-    """Segment every representative period independently."""
-    layout = cut_layout(reps.profiles, segment_linkage(reps.profiles), n_segments)
-    return replace(reps, segments=layout)

@@ -12,7 +12,6 @@ from tsagg.hierarchy import (
     available_memory,
     medoid_of,
     sq_distances,
-    ward_cluster,
     ward_linkage,
 )
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
@@ -37,13 +36,13 @@ def assert_same_partition(a, b):
 class TestWardExamples:
     def test_two_tight_pairs(self):
         samples = np.array([0.0, 0.1, 5.0, 5.1])
-        result = ward_cluster(samples, 2)
+        result = ward_linkage(samples).cut(2)
         expected, _ = best_partition(samples, 2)
         assert_same_partition(result.assignment, expected)
         assert result.sizes.tolist() == [2, 2]
 
     def test_k_equals_n(self):
-        result = ward_cluster(np.array([3.0, 1.0, 2.0]), 3)
+        result = ward_linkage(np.array([3.0, 1.0, 2.0])).cut(3)
         assert result.assignment.tolist() == [0, 1, 2]
         assert result.sizes.tolist() == [1, 1, 1]
 
@@ -54,13 +53,13 @@ class TestWardExamples:
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
-            ward_cluster(np.zeros((3, 1)), 0)
+            ward_linkage(np.zeros((3, 1))).cut(0)
         with pytest.raises(ConfigError):
-            ward_cluster(np.zeros((3, 1)), 4)
+            ward_linkage(np.zeros((3, 1))).cut(4)
 
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(DataError):
-            ward_cluster(np.array([0.0, np.nan]), 1)
+            ward_linkage(np.array([0.0, np.nan]))
 
     def test_overflowing_distances_rejected(self):
         # finite samples whose squared distances overflow to inf; the CLI

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import DataError
-from tsagg.hierarchy import ward_cluster
+from tsagg.hierarchy import ward_linkage
 from tsagg.metrics import (
     attribute_rmse,
     build_report,
@@ -15,11 +17,18 @@ from tsagg.metrics import (
 )
 from tsagg.pathway import ConfigEvaluator
 from tsagg.representation import represent
-from tsagg.segmentation import segment_representatives
+from tsagg.segmentation import cut_layout, segment_linkage
 
 from helpers import build_frame
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
+
+
+def single_cell(i, j, value):
+    """A 12 x 2 array of zeros but for one cell."""
+    x = np.zeros((12, 2))
+    x[i, j] = value
+    return x
 
 
 def aggregate(frame, p, s, method):
@@ -45,8 +54,10 @@ class TestReconstruct:
     def test_piecewise_constant_within_segments(self):
         rng = np.random.default_rng(2)
         frame = build_frame(rng.standard_normal((96, 1)), 24)
-        clusters = ward_cluster(frame.rows, 2)
-        reps = segment_representatives(represent(frame, clusters, "centroid"), 5)
+        clusters = ward_linkage(frame.rows).cut(2)
+        reps = represent(frame, clusters, "centroid")
+        reps = replace(reps, segments=cut_layout(
+            reps.profiles, segment_linkage(reps.profiles), 5))
         rec = reconstruct(frame, clusters, reps).reshape(4, 24)
         for p in range(4):
             lengths = reps.segments.lengths[clusters.assignment[p]]
@@ -56,10 +67,10 @@ class TestReconstruct:
 
     def test_shape_mismatch_rejected(self):
         frame = build_frame(np.arange(12.0), 3)
-        clusters = ward_cluster(np.zeros((2, 1)), 1)
-        reps = segment_representatives(
-            represent(build_frame(np.arange(6.0), 3), ward_cluster(np.zeros((2, 1)), 1),
-                      "centroid"), 3)
+        clusters = ward_linkage(np.zeros((2, 1))).cut(1)
+        reps = represent(build_frame(np.arange(6.0), 3), clusters, "centroid")
+        reps = replace(reps, segments=cut_layout(
+            reps.profiles, segment_linkage(reps.profiles), 3))
         with pytest.raises(DataError):
             reconstruct(frame, clusters, reps)
 
@@ -84,10 +95,15 @@ class TestRmseTot:
     @settings(max_examples=50, deadline=None)
     @given(arrays(np.float64, (12, 2), elements=finite),
            arrays(np.float64, (12, 2), elements=finite))
+    @example(single_cell(0, 0, 8.76e-159), single_cell(3, 1, 3.2412e-159))
     def test_symmetry_and_scaling(self, x, y):
         assert rmse_tot(x, y) == rmse_tot(y, x)
+        # squares below 2.2e-308 are subnormal: each keeps an absolute error
+        # of up to 2.5e-324 rather than a relative one, which the mean and
+        # the square root turn into at most about 1e-161 of RMSE. The draw
+        # above has differences near 1e-158 and a relative error of 1.7e-7
         np.testing.assert_allclose(rmse_tot(x, x + 2 * (y - x)),
-                                   2 * rmse_tot(x, y), rtol=1e-9)
+                                   2 * rmse_tot(x, y), rtol=1e-9, atol=1e-160)
 
 
 class TestDurationCurveRmse:

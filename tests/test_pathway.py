@@ -80,6 +80,12 @@ class TestEvaluateConfig:
         second = evaluator.evaluate(4, 3)
         assert first is second
 
+    def test_failed_representation_stores_nothing(self):
+        evaluator = ConfigEvaluator(small_frame(), "mean")
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="unknown representation"):
+                evaluator.evaluate(4, 3)
+
     def test_out_of_range(self):
         frame = small_frame()
         evaluator = ConfigEvaluator(frame, "centroid")
@@ -141,14 +147,46 @@ class TestNodeCache:
 
         monkeypatch.setattr(pathway, "segment_linkage", counting)
         trace = search(frame, "distribution")
-        # an unbounded search ends at full resolution, so it cut at every grid p
+        # an unbounded search ends at full resolution, so it cut at every grid
+        # p, and it prepared all of them before its first evaluation
         assert trace.final.p == frame.n_periods
+        assert len(batches) == 1
         grid = build_grid(frame.n_periods)
         merges = [(m.id_a, m.id_b, m.cost, m.size)
                   for m in ward_linkage(frame.rows).merges]
         nodes = set().union(*(naive_nodes(frame.n_periods, merges, p).tolist()
                               for p in grid))
         assert sum(batches) == len(nodes) < sum(grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tie_heavy_frames(), st.sampled_from(REPRESENTATION_METHODS), st.data())
+    def test_budgeted_search_prepares_every_evaluated_p(self, frame, method, data):
+        # budgets just below, at and above a grid value
+        budget = data.draw(st.sampled_from(build_grid(frame.n_periods))) + data.draw(
+            st.sampled_from((-1, 0, 1)))
+        prepare, evaluate = ConfigEvaluator.prepare, ConfigEvaluator.evaluate
+        prepared, evaluated = [], []
+
+        def lazy(self, counts):
+            # a no-op for the search's batch; clusters(p) still prepares p alone
+            if len(counts) == 1:
+                prepare(self, counts)
+
+        def recording_prepare(self, counts):
+            prepared.append(list(counts))
+            prepare(self, counts)
+
+        def recording_evaluate(self, p, s):
+            evaluated.append(p)
+            return evaluate(self, p, s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ConfigEvaluator, "prepare", lazy)
+            expected = search(frame, method, budget)
+            mp.setattr(ConfigEvaluator, "prepare", recording_prepare)
+            mp.setattr(ConfigEvaluator, "evaluate", recording_evaluate)
+            assert search(frame, method, budget) == expected
+        assert set(evaluated) <= set(prepared[0])
 
 
 class TestPathwaySearch:

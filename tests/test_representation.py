@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import ward_cluster, ward_linkage
+from tsagg.hierarchy import ward_linkage
 from tsagg.representation import REPRESENTATION_METHODS, represent
 
 from helpers import build_frame
@@ -16,7 +16,7 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinit
 
 def clustered_frame(values, steps, k):
     frame = build_frame(values, steps)
-    return frame, ward_cluster(frame.rows, k)
+    return frame, ward_linkage(frame.rows).cut(k)
 
 
 class TestCentroid:
@@ -24,14 +24,14 @@ class TestCentroid:
         frame, clusters = clustered_frame(np.arange(12.0), 3, 4)
         reps = represent(frame, clusters, "centroid")
         for c in range(4):
-            member = clusters.members(c)[0]
+            member = np.flatnonzero(clusters.assignment == c)[0]
             np.testing.assert_array_equal(
                 reps.profiles[c].ravel(), frame.rows[member])
 
     def test_elementwise_mean(self):
         # two periods [1,3] and [3,5]: raw mean profile is [2,4]
         frame = build_frame(np.array([1.0, 3.0, 3.0, 5.0]), 2)
-        clusters = ward_cluster(frame.rows, 1)
+        clusters = ward_linkage(frame.rows).cut(1)
         reps = represent(frame, clusters, "centroid")
         expected = (frame.rows[0] + frame.rows[1]) / 2
         np.testing.assert_array_equal(reps.profiles[0].ravel(), expected)
@@ -53,13 +53,13 @@ class TestMedoid:
         frame, clusters = clustered_frame(np.arange(12.0), 3, 4)
         reps = represent(frame, clusters, "medoid")
         for c in range(4):
-            np.testing.assert_array_equal(reps.profiles[c].ravel(),
-                                          frame.rows[clusters.members(c)[0]])
+            member = np.flatnonzero(clusters.assignment == c)[0]
+            np.testing.assert_array_equal(reps.profiles[c].ravel(), frame.rows[member])
 
     def test_middle_of_three(self):
         # periods of one step with values 0, 1, 10: medoid is the middle one
         frame = build_frame(np.array([0.0, 1.0, 10.0]), 1)
-        clusters = ward_cluster(np.zeros((3, 1)), 1)  # force one cluster
+        clusters = ward_linkage(np.zeros((3, 1))).cut(1)  # force one cluster
         reps = represent(frame, clusters, "medoid")
         np.testing.assert_array_equal(reps.profiles[0].ravel(), frame.rows[1])
 
@@ -70,7 +70,7 @@ class TestMedoid:
         expected = representatives(frame.rows, clusters.assignment, 12, "medoid")
         np.testing.assert_array_equal(reps.profiles, expected)
         for c in range(3):
-            rows = frame.rows[clusters.members(c)]
+            rows = frame.rows[np.flatnonzero(clusters.assignment == c)]
             assert (rows == reps.profiles[c].ravel()).all(axis=1).any()
 
 
@@ -79,7 +79,7 @@ class TestDistribution:
         # one attribute, 2-step periods [5,1] and [0,3] in a single cluster
         frame = build_frame(np.array([5.0, 1.0, 0.0, 3.0]), 2)
         # bypass normalization effects: the frame is minmax over [0,5]
-        clusters = ward_cluster(frame.rows, 1)
+        clusters = ward_linkage(frame.rows).cut(1)
         reps = represent(frame, clusters, "distribution")
         np.testing.assert_allclose(reps.profiles[0].ravel() * 5, [4, 0.5])
 
@@ -88,7 +88,7 @@ class TestDistribution:
         frame, clusters = clustered_frame(rng.standard_normal((20, 2)), 5, 4)
         reps = represent(frame, clusters, "distribution")
         for c in range(4):
-            member = clusters.members(c)[0]
+            member = np.flatnonzero(clusters.assignment == c)[0]
             np.testing.assert_array_equal(reps.profiles[c].ravel(),
                                           frame.rows[member])
 
@@ -98,7 +98,7 @@ class TestDistribution:
         reps = represent(frame, clusters, "distribution")
         view = frame.rows.reshape(frame.n_periods, 8, 2)
         for c in range(3):
-            members = clusters.members(c)
+            members = np.flatnonzero(clusters.assignment == c)
             for a in range(2):
                 expected = distribution_profile(view[members][:, :, a])
                 np.testing.assert_array_equal(reps.profiles[c, :, a], expected)
@@ -109,11 +109,11 @@ class TestDistribution:
         n_periods = k * 3
         values = data.draw(arrays(np.float64, (n_periods * steps, 2), elements=finite))
         frame = build_frame(values, steps)
-        clusters = ward_cluster(frame.rows, k)
+        clusters = ward_linkage(frame.rows).cut(k)
         reps = represent(frame, clusters, "distribution")
         view = frame.rows.reshape(n_periods, steps, 2)
         for c in range(k):
-            members = clusters.members(c)
+            members = np.flatnonzero(clusters.assignment == c)
             for a in range(2):
                 sorted_profile = -np.sort(-reps.profiles[c, :, a])
                 np.testing.assert_array_equal(
@@ -124,11 +124,11 @@ class TestDistribution:
     def test_mean_preserved(self, k, data):
         values = data.draw(arrays(np.float64, (k * 4 * 6, 1), elements=finite))
         frame = build_frame(values, 6)
-        clusters = ward_cluster(frame.rows, k)
+        clusters = ward_linkage(frame.rows).cut(k)
         reps = represent(frame, clusters, "distribution")
         view = frame.rows.reshape(frame.n_periods, 6, 1)
         for c in range(k):
-            members = clusters.members(c)
+            members = np.flatnonzero(clusters.assignment == c)
             assert abs(reps.profiles[c, :, 0].mean()
                        - view[members][:, :, 0].mean()) < 1e-10
 
@@ -144,7 +144,7 @@ class TestCommon:
     def test_methods_coincide_on_singletons(self):
         rng = np.random.default_rng(5)
         frame = build_frame(rng.standard_normal((40, 2)), 5)
-        clusters = ward_cluster(frame.rows, frame.n_periods)
+        clusters = ward_linkage(frame.rows).cut(frame.n_periods)
         profiles = [represent(frame, clusters, m).profiles
                     for m in ("centroid", "medoid", "distribution")]
         np.testing.assert_array_equal(profiles[0], profiles[1])
@@ -152,13 +152,13 @@ class TestCommon:
 
     def test_assignment_size_mismatch_rejected(self):
         frame = build_frame(np.arange(12.0), 3)
-        clusters = ward_cluster(np.zeros((2, 1)), 1)
+        clusters = ward_linkage(np.zeros((2, 1))).cut(1)
         with pytest.raises(DataError):
             represent(frame, clusters, "centroid")
 
     def test_unknown_method(self):
         frame = build_frame(np.arange(12.0), 3)
-        clusters = ward_cluster(frame.rows, 2)
+        clusters = ward_linkage(frame.rows).cut(2)
         with pytest.raises(ConfigError):
             represent(frame, clusters, "mean")
 

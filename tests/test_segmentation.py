@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import ConfigError
-from tsagg.hierarchy import ward_cluster
+from tsagg.hierarchy import ward_linkage
 from tsagg.representation import represent
-from tsagg.segmentation import cut_layout, segment_linkage, segment_representatives
+from tsagg.segmentation import cut_layout, segment_linkage
 
 from helpers import build_frame, chain_partition, segment_one
 from reference import best_partition, chain_matrix, naive_cut, naive_ward
@@ -123,10 +123,13 @@ class TestChainOracle:
 
     def test_batch_equals_one_profile_at_a_time(self):
         rng = np.random.default_rng(6)
-        profiles = rng.integers(0, 3, (30, 12, 2)).astype(np.float64)
-        ranks = segment_linkage(profiles)
-        for c in range(30):
-            np.testing.assert_array_equal(ranks[c], segment_linkage(profiles[c:c + 1])[0])
+        # 512 x 24 x 3 is about a search's single call on a year of days
+        for shape in ((30, 12, 2), (512, 24, 3)):
+            profiles = rng.integers(0, 3, shape).astype(np.float64)
+            ranks = segment_linkage(profiles)
+            for c in range(shape[0]):
+                np.testing.assert_array_equal(ranks[c],
+                                              segment_linkage(profiles[c:c + 1])[0])
 
     def test_ranks_are_a_merge_order(self):
         ranks = segment_linkage(np.random.default_rng(7).standard_normal((5, 24, 3)))
@@ -136,26 +139,26 @@ class TestChainOracle:
 
 
 class TestSegmentRepresentatives:
+    @staticmethod
+    def segmented(values, steps, k, n_segments):
+        frame = build_frame(values, steps)
+        profiles = represent(frame, ward_linkage(frame.rows).cut(k), "centroid").profiles
+        return profiles, cut_layout(profiles, segment_linkage(profiles), n_segments)
+
     def test_eight_times_eight(self):
         rng = np.random.default_rng(0)
-        frame = build_frame(rng.standard_normal((8760, 1)), 24)
-        clusters = ward_cluster(frame.rows, 8)
-        reps = segment_representatives(represent(frame, clusters, "centroid"), 8)
-        assert reps.segments.lengths.shape == (8, 8)
-        assert reps.segments.values.shape == (8, 8, 1)
+        _, layout = self.segmented(rng.standard_normal((8760, 1)), 24, 8, 8)
+        assert layout.lengths.shape == (8, 8)
+        assert layout.values.shape == (8, 8, 1)
 
     def test_identity_keeps_profiles(self):
         rng = np.random.default_rng(1)
-        frame = build_frame(rng.standard_normal((48, 2)), 12)
-        clusters = ward_cluster(frame.rows, 2)
-        reps = segment_representatives(represent(frame, clusters, "centroid"), 12)
-        assert np.all(reps.segments.lengths == 1)
-        np.testing.assert_array_equal(reps.segments.values, reps.profiles)
+        profiles, layout = self.segmented(rng.standard_normal((48, 2)), 12, 2, 12)
+        assert np.all(layout.lengths == 1)
+        np.testing.assert_array_equal(layout.values, profiles)
 
     def test_identical_periods_get_identical_layouts(self):
         rng = np.random.default_rng(2)
         day = rng.standard_normal((24, 1))
-        frame = build_frame(np.vstack([day, day]), 24)
-        clusters = ward_cluster(frame.rows, 2)
-        reps = segment_representatives(represent(frame, clusters, "centroid"), 5)
-        assert layout_of(reps.segments, 0) == layout_of(reps.segments, 1)
+        _, layout = self.segmented(np.vstack([day, day]), 24, 2, 5)
+        assert layout_of(layout, 0) == layout_of(layout, 1)
