@@ -13,7 +13,6 @@ from .core import (
 from .errors import ConfigError, DataError
 from .hierarchy import ClusterResult, Linkage, medoid_of, ward_linkage
 from .metrics import (
-    MetricsReport,
     attribute_rmse,
     build_report,
     duration_curve_rmse,
@@ -37,7 +36,6 @@ __all__ = [
     "ConfigEvaluator",
     "DataError",
     "Linkage",
-    "MetricsReport",
     "NormParams",
     "PathwayState",
     "PathwayTrace",

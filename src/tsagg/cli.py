@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +59,19 @@ def write_json(path: Path, payload: dict) -> None:
 def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     """Parse a time-series CSV into values and attribute names.
 
-    Errors name the offending line.
+    Plain files take one ``np.loadtxt`` call, whose C parser rounds as
+    ``float()`` does. The rest go cell by cell through ``csv`` and
+    ``float()``: files with no data line, with a ``"``, with a line whose
+    comma count differs from the header's or a blank or whitespace-only
+    line (``loadtxt`` would skip it), and files ``loadtxt`` rejects, such as
+    ``1_0`` or non-ASCII digits. Errors name the offending line.
     """
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
+    lines = text.splitlines()
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -74,13 +81,33 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     names = header[1:] if has_timestamp else header
     if not names:
         raise DataError(f"{path}: header declares no attribute columns (line 1)")
+    data, values = lines[1:], None
+    if (data and '"' not in text and all(map(str.strip, data))
+            and set(map(str.count, data, repeat(","))) == {len(header) - 1}):
+        try:
+            values = np.loadtxt(data, delimiter=",", comments=None, ndmin=2,
+                                usecols=range(len(header) - len(names), len(header)))
+        except ValueError:
+            pass
+    if values is None:
+        values = _parse_rows(path, reader, len(header), has_timestamp)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        t, a = bad[0]
+        raise DataError(
+            f"{path}: line {t + 2}: non-finite value in column {names[a]!r}")
+    return values, names
+
+
+def _parse_rows(path: Path, reader, n_fields: int, has_timestamp: bool) -> np.ndarray:
+    """The data rows of ``reader``, cell by cell through ``float()``."""
     rows = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
             raise DataError(f"{path}: blank line {line_no}")
-        if len(row) != len(header):
+        if len(row) != n_fields:
             raise DataError(
-                f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}")
+                f"{path}: line {line_no} has {len(row)} fields, expected {n_fields}")
         cells = row[1:] if has_timestamp else row
         try:
             rows.append([float(c) for c in cells])
@@ -88,13 +115,7 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
             raise DataError(f"{path}: line {line_no}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no data rows")
-    values = np.array(rows)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        t, a = bad[0]
-        raise DataError(
-            f"{path}: line {t + 2}: non-finite value in column {names[a]!r}")
-    return values, names
+    return np.array(rows)
 
 
 def write_representatives(path: Path, reps: RepresentativeSet,
@@ -157,7 +178,7 @@ def _aggregate(names, evaluator: ConfigEvaluator, p: int, s: int,
     write_representatives(out_dir / "representatives.csv", reps, names,
                           frame.norm_params)
     write_mapping(out_dir / "mapping.csv", clusters)
-    write_json(out_dir / "metrics.json", report.to_json_dict())
+    write_json(out_dir / "metrics.json", report)
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
@@ -205,7 +226,7 @@ def cmd_metrics(original_path: Path, aggregated_path: Path,
     agg_normalized = (aggregated.values[:, columns] - params.offset) / params.scale
     report = build_report(normalized, agg_normalized, names)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "metrics.json", report.to_json_dict())
+    write_json(out_dir / "metrics.json", report)
     return 0
 
 

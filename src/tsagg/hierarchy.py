@@ -19,11 +19,14 @@ bytes; a run that would not fit in available memory fails with a ConfigError
 first. Each row caches its nearest cluster among larger ids; a merge scans
 the n cached entries and rescans only the rows whose neighbour it merged.
 The time is O(n^2) when few rows share a neighbour and O(n^3) at worst.
+The distance matrix is filled on every CPU the process may use, with the
+same bits whatever their number.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,19 +104,50 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
     order of scipy's ``cdist(..., "sqeuclidean")``, so the two agree bit for
     bit: the differences are laid out column-major and reduced over that
     outer axis, which numpy accumulates one column after the other. Rows go
-    in blocks of about 128k differences; each block fills its part of the
-    upper triangle, and the lower triangle is its mirror image.
+    in blocks; each block fills its part of the upper triangle, and the
+    lower triangle is its mirror image.
+
+    The W workers are the CPUs the process may use, at most one per block.
+    Worker w takes blocks w, w + W, ..., as the early blocks are the widest.
+    Each block holds about 128k / W differences, freed before the worker's
+    next block, so the bytes in flight do not grow with W. Every entry is
+    the same expression whichever worker computes it, so the bits do not
+    depend on W. Helper threads run under the caller's ``np.geterr()``, and
+    their exceptions are raised in the caller.
     """
     n, n_cols = samples.shape
     columns = np.ascontiguousarray(samples.T)
     out = np.empty((n, n))
-    block = max(1, 131072 // (n_cols * n))
-    for i in range(0, n, block):
-        diff = columns[:, i:i + block, None] - columns[:, None, i:]
-        diff *= diff
-        acc = diff.sum(axis=0)
-        out[i:i + block, i:] = acc
-        out[i:, i:i + block] = acc.T
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    block = max(1, 131072 // (n_cols * n * cpus))
+    starts = range(0, n, block)
+    workers = min(cpus, len(starts))
+    # a new thread starts with numpy's default error settings, and threading
+    # only prints an uncaught exception, which would leave blocks unfilled
+    settings, errors = np.geterr(), []
+
+    def fill(worker):
+        try:
+            with np.errstate(**settings):
+                for i in starts[worker::workers]:
+                    diff = columns[:, i:i + block, None] - columns[:, None, i:]
+                    diff *= diff
+                    acc = diff.sum(axis=0)
+                    del diff
+                    out[i:i + block, i:] = acc
+                    out[i:, i:i + block] = acc.T
+        except BaseException as exc:  # raised in the caller below
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=fill, args=(w,)) for w in range(1, workers)]
+    for thread in helpers:
+        thread.start()
+    fill(0)
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 
@@ -203,15 +237,18 @@ def _generic_ward(samples: np.ndarray) -> tuple[Merge, ...]:
     order = np.arange(n)  # active rows in increasing id order
     near_d, near_r = _nearest(dist, order, order, row_id)
 
-    merges = []
+    merge_a, merge_b, merge_size = (np.empty(n - 1, dtype=np.int64) for _ in range(3))
+    merge_cost = np.empty(n - 1)
     for step in range(n - 1):
-        i = order[int(np.argmin(near_d[order]))]
+        k = int(near_d[order].argmin())
+        i = order[k]
         j = near_r[i]
-        q = n + step
-        merges.append(Merge(id_a=int(row_id[i]), id_b=int(row_id[j]),
-                            cost=float(dist[i, j]), size=int(size[i] + size[j])))
+        merge_a[step], merge_b[step] = row_id[i], row_id[j]
+        merge_cost[step], merge_size[step] = dist[i, j], size[i] + size[j]
 
-        order = order[(order != i) & (order != j)]
+        keep = order != j
+        keep[k] = False
+        order = order[keep]
         nm = size[order]
         new_d = ((size[i] + nm) * dist[i, order]
                  + (size[j] + nm) * dist[j, order]
@@ -219,19 +256,22 @@ def _generic_ward(samples: np.ndarray) -> tuple[Merge, ...]:
         dist[i, order] = new_d
         dist[order, i] = new_d
         size[i] += size[j]
-        row_id[i] = q
-        # rows whose neighbour merged rescan; the others compare with q,
-        # whose id is the largest, so on equal distance the cached id stays
-        lost = (near_r[order] == i) | (near_r[order] == j)
-        closer = ~lost & (new_d < near_d[order])
+        row_id[i] = n + step
+        # rows whose neighbour merged rescan, which overwrites what the
+        # comparison writes there; the others compare with the new id, the
+        # largest, so on equal distance the cached id stays
+        neighbour = near_r[order]
+        lost = (neighbour == i) | (neighbour == j)
+        closer = new_d < near_d[order]
         near_d[order[closer]] = new_d[closer]
         near_r[order[closer]] = i
-        order = np.append(order, i)
+        rescan = order[lost]
+        order = np.concatenate((order, [i]))
         near_d[i] = np.inf
-        rescan = order[:-1][lost]
         if rescan.size:
             near_d[rescan], near_r[rescan] = _nearest(dist, rescan, order, row_id)
-    return tuple(merges)
+    return tuple(map(Merge, merge_a.tolist(), merge_b.tolist(),
+                     merge_cost.tolist(), merge_size.tolist()))
 
 
 def medoid_of(samples: np.ndarray, members) -> int:

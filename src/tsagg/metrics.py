@@ -11,39 +11,12 @@ only the value distribution matters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import PeriodFrame
 from .errors import DataError
 from .hierarchy import ClusterResult
 from .representation import RepresentativeSet
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Accuracy summary of one aggregation configuration.
-
-    total_steps is the aggregated size (typical periods x segments);
-    it and reduction_ratio are None for externally supplied
-    reconstructions whose configuration is unknown.
-    """
-
-    rmse_tot: float
-    chronological_rmse: dict[str, float]
-    duration_curve_rmse: dict[str, float]
-    total_steps: int | None = None
-    reduction_ratio: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rmse_tot": self.rmse_tot,
-            "chronological_rmse": dict(self.chronological_rmse),
-            "duration_curve_rmse": dict(self.duration_curve_rmse),
-            "total_steps": self.total_steps,
-            "reduction_ratio": self.reduction_ratio,
-        }
 
 
 def reconstruct(frame: PeriodFrame, clusters: ClusterResult,
@@ -98,21 +71,24 @@ def duration_curve_rmse(original: np.ndarray, aggregated: np.ndarray) -> np.ndar
 
 
 def build_report(original: np.ndarray, aggregated: np.ndarray,
-                 attribute_names, total_steps: int | None = None) -> MetricsReport:
-    """Assemble the full report for a reconstruction."""
+                 attribute_names, total_steps: int | None = None) -> dict:
+    """Accuracy summary of a reconstruction, as the ``metrics.json`` dict.
+
+    total_steps is the aggregated size (typical periods x segments); it and
+    reduction_ratio are None for externally supplied reconstructions whose
+    configuration is unknown.
+    """
     original, aggregated = _check_shapes(original, aggregated)
     names = list(attribute_names)
     if len(names) != original.shape[1]:
         raise DataError(f"{len(names)} names for {original.shape[1]} attributes")
     chron = attribute_rmse(original, aggregated)
     duration = duration_curve_rmse(original, aggregated)
-    ratio = None
-    if total_steps is not None:
-        ratio = 1.0 - total_steps / original.shape[0]
-    return MetricsReport(
-        rmse_tot=rmse_tot(original, aggregated),
-        chronological_rmse={n: float(v) for n, v in zip(names, chron)},
-        duration_curve_rmse={n: float(v) for n, v in zip(names, duration)},
-        total_steps=total_steps,
-        reduction_ratio=ratio,
-    )
+    return {
+        "rmse_tot": rmse_tot(original, aggregated),
+        "chronological_rmse": {n: float(v) for n, v in zip(names, chron)},
+        "duration_curve_rmse": {n: float(v) for n, v in zip(names, duration)},
+        "total_steps": total_steps,
+        "reduction_ratio": (None if total_steps is None
+                            else 1.0 - total_steps / original.shape[0]),
+    }

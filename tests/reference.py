@@ -7,10 +7,13 @@ production code path, so agreement is meaningful.
 
 from __future__ import annotations
 
+import csv
 import itertools
+from pathlib import Path
 
 import numpy as np
 
+from tsagg.errors import DataError
 from tsagg.hierarchy import Merge
 
 
@@ -257,3 +260,46 @@ def representatives(rows, assignment, steps, method):
             for a in range(n_attrs):
                 out[c, :, a] = distribution_profile(periods[:, :, a])
     return out
+
+
+def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
+    """Parse a time-series CSV into values and attribute names, cell by cell.
+
+    The CLI's parser before its ``np.loadtxt`` fast path, kept verbatim:
+    ``csv`` rows and ``float()`` per cell. Errors name the offending line.
+    """
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    reader = csv.reader(text.splitlines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    header = [h.strip() for h in header]
+    has_timestamp = bool(header) and header[0].lower() == "timestamp"
+    names = header[1:] if has_timestamp else header
+    if not names:
+        raise DataError(f"{path}: header declares no attribute columns (line 1)")
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            raise DataError(f"{path}: blank line {line_no}")
+        if len(row) != len(header):
+            raise DataError(
+                f"{path}: line {line_no} has {len(row)} fields, expected {len(header)}")
+        cells = row[1:] if has_timestamp else row
+        try:
+            rows.append([float(c) for c in cells])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {line_no}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    values = np.array(rows)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        t, a = bad[0]
+        raise DataError(
+            f"{path}: line {t + 2}: non-finite value in column {names[a]!r}")
+    return values, names

@@ -7,13 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import reference
 import tsagg
-from tsagg.cli import main
+from tsagg.cli import main, read_csv
 from tsagg.core import build_frame, denormalize, normalize, validate_and_build
+from tsagg.errors import DataError
 from tsagg.metrics import rmse_tot
 from tsagg.pathway import ConfigEvaluator
-from tsagg.synthetic import load_profile
+from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
 
 def write_csv(path, values, names, timestamps=None):
@@ -319,6 +323,87 @@ class TestMetricsCommand:
         code = main(["metrics", "--input", str(a), "--aggregated", str(b),
                      "--out-dir", str(tmp_path / "out")])
         assert code == 2
+
+
+# cells float() and loadtxt may read differently, or that one of them rejects
+TOKENS = [" 1.5", "1_0", "\u0661", "inf", "nan", "1e400", "-0", "", '"1.5"', "#1", "0x10"]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+CELLS = st.one_of(FINITE.map(repr), FINITE.map(lambda v: "%.10g" % v),
+                  st.sampled_from(TOKENS))
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes of 1-3 attributes, with or without a timestamp column.
+
+    Rows are mostly well formed; some are blank, whitespace only, or one
+    field short or long. Line endings are LF or CRLF, with or without a
+    byte-order mark.
+    """
+    header = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        header.insert(0, "timestamp")
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["row"] * 4 + ["blank", "space", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        else:
+            n_fields = len(header) + {"row": 0, "short": -1, "long": 1}[kind]
+            lines.append(",".join(draw(CELLS) for _ in range(n_fields)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text.encode("utf-8-sig" if draw(st.booleans()) else "utf-8")
+
+
+def parse_outcome(read, path):
+    """Names and value bytes, or the DataError text."""
+    try:
+        values, names = read(path)
+    except DataError as exc:
+        return str(exc)
+    return names, values.dtype, values.shape, values.tobytes()
+
+
+class TestReadCsv:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_files())
+    # each input the fast path leaves to the cell-by-cell parser
+    @example(b"a\n")  # no data line
+    @example(b'a,b\n1,"1.5"\n')  # quoted cell
+    @example(b'timestamp,a\n"t,1\n2",5\n')  # quoted field over two lines: one row
+    @example(b"a,b\n1\n")  # one field short
+    @example(b"a,b\n1,2,3\n")  # one field long
+    @example(b"a\n1\n\n2\n")  # blank line in a one-column file
+    @example(b"a\n1\n \t\n2\n")  # whitespace-only line in a one-column file
+    @example(b"timestamp,a\nt0,1_0\n")  # loadtxt rejects underscores
+    @example("a\n\u0661\n".encode())  # loadtxt rejects non-ASCII digits
+    @example(b"a,b\n1,#1\n")  # float() error text
+    @example(b"a,b\n1,\n")  # empty cell
+    def test_matches_cell_by_cell_parser(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "read_csv.csv"
+        path.write_bytes(content)
+        assert parse_outcome(read_csv, path) == parse_outcome(reference.read_csv, path)
+
+    def test_benchmark_style_file_takes_fast_path(self, tmp_path, monkeypatch):
+        # timestamps and 10 significant digits, as the benchmark writes them
+        values = np.column_stack([solar_profile(30, 1), wind_profile(30, 2),
+                                  load_profile(30, 3)])
+        stamps = np.datetime64("2021-01-01T00", "h") + np.arange(values.shape[0])
+        lines = ["timestamp,solar,wind,load"] + [
+            f"{t}," + ",".join(f"{v:.10g}" for v in row)
+            for t, row in zip(stamps.astype(str), values)]
+        path = tmp_path / "input.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = parse_outcome(reference.read_csv, path)
+
+        def no_fallback(*args):
+            raise AssertionError("the cell-by-cell parser ran")
+
+        monkeypatch.setattr("tsagg.cli._parse_rows", no_fallback)
+        assert parse_outcome(read_csv, path) == expected
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -26,6 +28,19 @@ from reference import (
     naive_ward,
     sq_distance_matrix,
 )
+
+
+def use_cpus(monkeypatch, n_cpus):
+    """Make the process's CPU affinity mask n_cpus wide for the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                        raising=False)
+
+
+def each_worker_count(monkeypatch):
+    """Yield 1, 2 and 3 with the distance kernel's CPU count set to it."""
+    for workers in (1, 2, 3):
+        use_cpus(monkeypatch, workers)
+        yield workers
 
 
 def assert_same_partition(a, b):
@@ -72,6 +87,22 @@ class TestWardExamples:
             # updates the distance to 1e154 by (2e308 + 2e308 - 1) / 3
             with pytest.raises(DataError, match="overflow"):
                 ward_linkage([[0.0], [1e154], [1.0]])
+
+    def test_overflow_in_a_helper_block_rejected(self, monkeypatch):
+        # with 2 workers, blocks hold 4 rows: rows 4-7 are block 1, the
+        # helper's, and only the pair (5, 150) overflows
+        use_cpus(monkeypatch, 2)
+        x = np.random.default_rng(14).standard_normal((200, 72))
+        x[5, 0], x[150, 0] = 1e154, -1e154
+        threads = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the merge costs overflow too, so the kernel is checked alone
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                sq_distances(x)
+            with pytest.raises(DataError, match="overflow"):
+                ward_linkage(x)
+        assert threading.active_count() == threads
 
 
 class TestOracleEquivalence:
@@ -145,16 +176,17 @@ class TestDenseEquality:
 
 
 class TestMemory:
-    def test_peak_is_one_square_matrix(self):
+    def test_peak_is_one_square_matrix(self, monkeypatch):
         n = 730
         rows = np.random.default_rng(11).standard_normal((n, 72))
-        tracemalloc.start()
-        try:
-            ward_linkage(rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 8 * n * n
+        for _ in each_worker_count(monkeypatch):
+            tracemalloc.start()
+            try:
+                ward_linkage(rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 8 * n * n
 
     def test_available_memory_reads_meminfo(self, tmp_path, monkeypatch):
         meminfo = tmp_path / "meminfo"
@@ -284,19 +316,43 @@ class TestMedoid:
 
 
 class TestSqDistances:
+    """Each test runs the kernel with 1, 2 and 3 workers."""
+
     @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (200, 72), (1460, 72)])
-    def test_matches_cdist_on_random_rows(self, shape):
+    def test_matches_cdist_on_random_rows(self, shape, monkeypatch):
         cdist = pytest.importorskip("scipy.spatial.distance").cdist
         x = 3.1 * np.random.default_rng(shape[0]).standard_normal(shape)
         expected = cdist(x, x, "sqeuclidean")
-        assert sq_distances(x).tobytes() == expected.tobytes()
+        for _ in each_worker_count(monkeypatch):
+            assert sq_distances(x).tobytes() == expected.tobytes()
 
-    def test_matches_cdist_on_integer_grids(self):
+    def test_matches_cdist_on_integer_grids(self, monkeypatch):
         cdist = pytest.importorskip("scipy.spatial.distance").cdist
         x = np.random.default_rng(9).integers(0, 3, (300, 24)).astype(np.float64)
-        assert sq_distances(x).tobytes() == cdist(x, x, "sqeuclidean").tobytes()
+        expected = cdist(x, x, "sqeuclidean")
+        for _ in each_worker_count(monkeypatch):
+            assert sq_distances(x).tobytes() == expected.tobytes()
 
-    def test_matches_column_order_reference(self):
+    def test_matches_column_order_reference(self, monkeypatch):
         # runs without scipy: the definition, summed in the same order
         x = np.random.default_rng(10).standard_normal((50, 30))
+        expected = sq_distance_matrix(x)
+        for _ in each_worker_count(monkeypatch):
+            assert sq_distances(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cpu_count", [None, 3])
+    def test_without_affinity_mask(self, monkeypatch, cpu_count):
+        # the CPU count stands in; None means unknown, so one worker
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Recorded)
+        x = np.random.default_rng(13).standard_normal((200, 72))
         assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()
+        assert len(started) == (cpu_count or 1) - 1

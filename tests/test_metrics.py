@@ -145,15 +145,16 @@ class TestReport:
         frame = build_frame(rng.standard_normal((96, 2)), 24)
         rec = aggregate(frame, 2, 6, "centroid")
         report = build_report(frame.unrolled(), rec, ["a", "b"], total_steps=12)
-        assert report.total_steps == 12
-        assert report.reduction_ratio == 1 - 12 / 96
-        assert set(report.chronological_rmse) == {"a", "b"}
-        assert all(v >= 0 for v in report.duration_curve_rmse.values())
-        payload = report.to_json_dict()
-        assert payload["rmse_tot"] == report.rmse_tot
+        assert set(report) == {"rmse_tot", "chronological_rmse",
+                               "duration_curve_rmse", "total_steps", "reduction_ratio"}
+        assert report["total_steps"] == 12
+        assert report["reduction_ratio"] == 1 - 12 / 96
+        assert set(report["chronological_rmse"]) == {"a", "b"}
+        assert all(v >= 0 for v in report["duration_curve_rmse"].values())
+        assert report["rmse_tot"] == rmse_tot(frame.unrolled(), rec)
 
     def test_unknown_configuration_leaves_ratio_unset(self):
         x = np.zeros((10, 1))
         report = build_report(x, x, ["a"])
-        assert report.total_steps is None
-        assert report.reduction_ratio is None
+        assert report["total_steps"] is None
+        assert report["reduction_ratio"] is None
