@@ -3,7 +3,6 @@
 from .core import (
     NormParams,
     PeriodFrame,
-    TimeSeriesSet,
     build_frame,
     denormalize,
     normalize,
@@ -11,7 +10,7 @@ from .core import (
     validate_and_build,
 )
 from .errors import ConfigError, DataError
-from .hierarchy import ClusterResult, Linkage, medoid_of, ward_linkage
+from .hierarchy import ClusterResult, Linkage, ward_linkage
 from .metrics import (
     attribute_rmse,
     build_report,
@@ -27,7 +26,7 @@ from .pathway import (
     pathway_search,
     select_config,
 )
-from .representation import RepresentativeSet, represent
+from .representation import represent
 from .segmentation import SegmentLayout
 
 __all__ = [
@@ -40,16 +39,13 @@ __all__ = [
     "PathwayState",
     "PathwayTrace",
     "PeriodFrame",
-    "RepresentativeSet",
     "SegmentLayout",
-    "TimeSeriesSet",
     "attribute_rmse",
     "build_frame",
     "build_grid",
     "build_report",
     "denormalize",
     "duration_curve_rmse",
-    "medoid_of",
     "normalize",
     "pathway_search",
     "reconstruct",

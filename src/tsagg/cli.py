@@ -33,7 +33,8 @@ from .errors import ConfigError, DataError
 from .hierarchy import ClusterResult
 from .metrics import build_report
 from .pathway import ConfigEvaluator, PathwayTrace, pathway_search, select_config
-from .representation import REPRESENTATION_METHODS, RepresentativeSet
+from .representation import REPRESENTATION_METHODS
+from .segmentation import SegmentLayout
 
 
 def _fmt(value) -> str:
@@ -64,11 +65,12 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     ``float()``: files with no data line, with a ``"``, with a line whose
     comma count differs from the header's or a blank or whitespace-only
     line (``loadtxt`` would skip it), and files ``loadtxt`` rejects, such as
-    ``1_0`` or non-ASCII digits. Errors name the offending line.
+    ``1_0`` or non-ASCII digits. Errors name the file, and the offending
+    line where there is one.
     """
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     lines = text.splitlines()
     reader = csv.reader(lines)
@@ -118,30 +120,26 @@ def _parse_rows(path: Path, reader, n_fields: int, has_timestamp: bool) -> np.nd
     return np.array(rows)
 
 
-def write_representatives(path: Path, reps: RepresentativeSet,
+def write_representatives(path: Path, weights: np.ndarray, layout: SegmentLayout,
                           names, norm_params) -> None:
-    """One row per (cluster, segment), values denormalized."""
-    if reps.segments is None:
-        raise DataError("representatives carry no segment layout")
-    layout = reps.segments
-    values = denormalize(layout.values.reshape(-1, reps.n_attributes),
+    """One row per (cluster, segment), weighted by cluster size, values denormalized."""
+    k, n_segments, n_attrs = layout.values.shape
+    values = denormalize(layout.values.reshape(-1, n_attrs),
                          norm_params).reshape(layout.values.shape).tolist()
-    weights, lengths = reps.weights.tolist(), layout.lengths.tolist()
+    weights, lengths = weights.tolist(), layout.lengths.tolist()
     # '%.12g' % x prints exactly what _fmt(x) prints
-    row = "%d,%d,%d,%d" + ",%.12g" * reps.n_attributes + "\n"
+    row = "%d,%d,%d,%d" + ",%.12g" * n_attrs + "\n"
     with path.open("w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(
             ["cluster_id", "weight", "segment_id", "duration_steps", *names])
         fh.writelines(row % (c, weights[c], si, lengths[c][si], *values[c][si])
-                      for c in range(reps.k) for si in range(layout.n_segments))
+                      for c in range(k) for si in range(n_segments))
 
 
 def write_mapping(path: Path, clusters: ClusterResult) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["period_index", "cluster_id"])
-        for p, c in enumerate(clusters.assignment):
-            writer.writerow([p, int(c)])
+        fh.write("period_index,cluster_id\n")
+        fh.writelines(f"{p},{c}\n" for p, c in enumerate(clusters.assignment.tolist()))
 
 
 def write_pathway(path: Path, trace: PathwayTrace) -> None:
@@ -172,11 +170,11 @@ def _prepare(args: argparse.Namespace):
 def _aggregate(names, evaluator: ConfigEvaluator, p: int, s: int,
                out_dir: Path) -> None:
     frame = evaluator.frame
-    clusters, reps, rec = evaluator.reconstruction(p, s)
+    clusters, layout, rec = evaluator.reconstruction(p, s)
     report = build_report(frame.unrolled(), rec, names, total_steps=p * s)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_representatives(out_dir / "representatives.csv", reps, names,
-                          frame.norm_params)
+    write_representatives(out_dir / "representatives.csv", clusters.sizes, layout,
+                          names, frame.norm_params)
     write_mapping(out_dir / "mapping.csv", clusters)
     write_json(out_dir / "metrics.json", report)
 
@@ -209,21 +207,18 @@ def cmd_pathway(args: argparse.Namespace) -> int:
 def cmd_metrics(original_path: Path, aggregated_path: Path,
                 normalization: str, out_dir: Path) -> int:
     """Score an externally produced aggregation against the original."""
-    original = validate_and_build(*read_csv(original_path))
-    aggregated = validate_and_build(*read_csv(aggregated_path))
-    names = original.attribute_names
-    if set(aggregated.attribute_names) != set(names):
+    original, names = validate_and_build(*read_csv(original_path))
+    aggregated, agg_names = validate_and_build(*read_csv(aggregated_path))
+    if set(agg_names) != set(names):
         raise DataError(
-            f"attribute mismatch: original {list(names)}, "
-            f"aggregated {list(aggregated.attribute_names)}")
-    if original.values.shape != aggregated.values.shape:
+            f"attribute mismatch: original {list(names)}, aggregated {list(agg_names)}")
+    if original.shape != aggregated.shape:
         raise DataError(
-            f"shape mismatch: original {original.values.shape}, "
-            f"aggregated {aggregated.values.shape}")
+            f"shape mismatch: original {original.shape}, aggregated {aggregated.shape}")
     # align the aggregated columns to the original by name
-    columns = [aggregated.attribute_names.index(n) for n in names]
+    columns = [agg_names.index(n) for n in names]
     normalized, params = normalize(original, normalization)
-    agg_normalized = (aggregated.values[:, columns] - params.offset) / params.scale
+    agg_normalized = (aggregated[:, columns] - params.offset) / params.scale
     report = build_report(normalized, agg_normalized, names)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "metrics.json", report)

@@ -24,25 +24,6 @@ NORMALIZATION_METHODS = ("minmax", "znorm")
 
 
 @dataclass(frozen=True)
-class TimeSeriesSet:
-    """Validated multi-attribute series in original units.
-
-    values has shape (N_t, N_a); attribute_names has length N_a.
-    """
-
-    attribute_names: tuple[str, ...]
-    values: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_attributes(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class NormParams:
     """Per-attribute affine transform: normalized = (x - offset) / scale.
 
@@ -84,11 +65,12 @@ class PeriodFrame:
                                  self.n_attributes)
 
 
-def validate_and_build(values, names) -> TimeSeriesSet:
-    """Validate a raw matrix and wrap it as a TimeSeriesSet.
+def validate_and_build(values, names) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Validate a raw matrix and its attribute names.
 
-    Rejects empty data, non-finite entries (naming row and column), and
-    duplicate attribute names.
+    Returns the values as a read-only (N_t, N_a) float array in original
+    units and the names as a tuple. Rejects empty data, non-finite entries
+    (naming row and column), and duplicate attribute names.
     """
     arr = np.array(values, dtype=np.float64)
     if arr.ndim == 1:
@@ -110,19 +92,19 @@ def validate_and_build(values, names) -> TimeSeriesSet:
         raise DataError(
             f"non-finite value at row {t}, column {a} ({names[a]!r})")
     arr.setflags(write=False)
-    return TimeSeriesSet(attribute_names=names, values=arr)
+    return arr, names
 
 
-def normalize(ts: TimeSeriesSet, method: str = "minmax") -> tuple[np.ndarray, NormParams]:
-    """Rescale every attribute; returns the normalized matrix and the params.
+def normalize(x: np.ndarray, method: str = "minmax") -> tuple[np.ndarray, NormParams]:
+    """Rescale every attribute of a validated (N_t, N_a) matrix.
 
-    minmax maps each non-constant attribute onto exactly [0, 1]; znorm
-    centers it to mean 0 with sample standard deviation 1 (ddof=1).
+    Returns the normalized matrix and the params. minmax maps each
+    non-constant attribute onto exactly [0, 1]; znorm centers it to mean 0
+    with sample standard deviation 1 (ddof=1).
     """
     if method not in NORMALIZATION_METHODS:
         raise ConfigError(
             f"unknown normalization method {method!r}, expected one of {NORMALIZATION_METHODS}")
-    x = ts.values
     constant = x.max(axis=0) == x.min(axis=0)
     if method == "minmax":
         offset = x.min(axis=0)
@@ -179,5 +161,5 @@ def to_periods(normalized: np.ndarray, steps_per_period: int,
 def build_frame(values, names, steps_per_period: int, normalization: str = "minmax",
                 drop_trailing: bool = False) -> PeriodFrame:
     """Validate, normalize and reshape a raw (N_t, N_a) matrix into period rows."""
-    normalized, params = normalize(validate_and_build(values, names), normalization)
+    normalized, params = normalize(validate_and_build(values, names)[0], normalization)
     return to_periods(normalized, steps_per_period, params, drop_trailing)

@@ -10,7 +10,9 @@ period are merged by the chain routine in the segmentation module.)
 
 Determinism: cluster ids are 0..n-1 for the input samples and n+m for the
 cluster created by merge m. Among equal-cost candidate merges the pair
-with the lexicographically smallest (id_a, id_b), id_a < id_b, wins.
+with the lexicographically smallest (id_a, id_b), id_a < id_b, wins. A
+Linkage keeps its merges as three arrays: the (id_a, id_b) pairs, the
+costs and the sizes of the new clusters.
 
 The period linkage is Müllner's generic algorithm ("Modern hierarchical,
 agglomerative clustering algorithms", arXiv:1109.2378). It keeps one n x n
@@ -20,7 +22,9 @@ first. Each row caches its nearest cluster among larger ids; a merge scans
 the n cached entries and rescans only the rows whose neighbour it merged.
 The time is O(n^2) when few rows share a neighbour and O(n^3) at worst.
 The distance matrix is filled on every CPU the process may use, with the
-same bits whatever their number.
+same bits whatever their number. The same kernel takes a batch of
+equal-sized groups, one matrix per group; the medoid representative sums
+its rows.
 """
 
 from __future__ import annotations
@@ -34,20 +38,18 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
-@dataclass(frozen=True)
-class Merge:
-    id_a: int
-    id_b: int
-    cost: float
-    size: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Linkage:
-    """Deterministic merge history; cut at any cluster count it reached."""
+    """Deterministic merge history; cut at any cluster count it reached.
+
+    Merge m joins the clusters ids[m] = (id_a, id_b), id_a < id_b, at cost
+    costs[m] into the cluster n + m of sizes[m] samples.
+    """
 
     n_samples: int
-    merges: tuple[Merge, ...]
+    ids: np.ndarray
+    costs: np.ndarray
+    sizes: np.ndarray
 
     def cut(self, k: int) -> "ClusterResult":
         """Partition into k clusters by replaying the first n - k merges."""
@@ -56,9 +58,7 @@ class Linkage:
             raise ConfigError(f"k={k} out of range [1, {n}]")
         n_merges = n - k
         parent = np.arange(n + n_merges)
-        replayed = self.merges[:n_merges]
-        parent[[m.id_a for m in replayed]] = np.arange(n, n + n_merges)
-        parent[[m.id_b for m in replayed]] = np.arange(n, n + n_merges)
+        parent[self.ids[:n_merges]] = np.arange(n, n + n_merges)[:, None]
         # pointer jumping: each pass doubles how far every pointer reaches
         while True:
             up = parent[parent]
@@ -97,9 +97,16 @@ class ClusterResult:
         return self.assignment.shape[0]
 
 
-def sq_distances(samples: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between all rows, shape (n, n).
+# the fewest differences a worker takes: timed on two CPUs, a second worker
+# paid off from about 120 rows of 72 columns, 2 * 2^18 differences
+THREAD_MIN_DIFFERENCES = 1 << 18
 
+
+def sq_distances(samples: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between all rows, (n, D) -> (n, n).
+
+    A leading batch axis, (g, m, D) -> (g, m, m), gives each group its own
+    matrix, every entry the expression of a call on that group alone.
     Each entry sums the squared attribute differences in column order, the
     order of scipy's ``cdist(..., "sqeuclidean")``, so the two agree bit for
     bit: the differences are laid out column-major and reduced over that
@@ -107,7 +114,9 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
     in blocks; each block fills its part of the upper triangle, and the
     lower triangle is its mirror image.
 
-    The W workers are the CPUs the process may use, at most one per block.
+    The W workers are the CPUs the process may use, at most one per block
+    and one per THREAD_MIN_DIFFERENCES differences the call computes, and
+    at least one.
     Worker w takes blocks w, w + W, ..., as the early blocks are the widest.
     Each block holds about 128k / W differences, freed before the worker's
     next block, so the bytes in flight do not grow with W. Every entry is
@@ -115,14 +124,17 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
     depend on W. Helper threads run under the caller's ``np.geterr()``, and
     their exceptions are raised in the caller.
     """
-    n, n_cols = samples.shape
-    columns = np.ascontiguousarray(samples.T)
-    out = np.empty((n, n))
+    batched = samples.ndim == 3
+    samples = samples if batched else samples[None]
+    g, n, n_cols = samples.shape
+    columns = np.ascontiguousarray(samples.transpose(2, 0, 1))
+    out = np.empty((g, n, n))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    block = max(1, 131072 // (n_cols * n * cpus))
+    workers = max(1, min(cpus, n_cols * g * n * (n + 1) // 2 // THREAD_MIN_DIFFERENCES))
+    block = max(1, 131072 // (n_cols * g * n * workers))
     starts = range(0, n, block)
-    workers = min(cpus, len(starts))
+    workers = min(workers, len(starts))
     # a new thread starts with numpy's default error settings, and threading
     # only prints an uncaught exception, which would leave blocks unfilled
     settings, errors = np.geterr(), []
@@ -131,12 +143,12 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
         try:
             with np.errstate(**settings):
                 for i in starts[worker::workers]:
-                    diff = columns[:, i:i + block, None] - columns[:, None, i:]
+                    diff = columns[:, :, i:i + block, None] - columns[:, :, None, i:]
                     diff *= diff
                     acc = diff.sum(axis=0)
                     del diff
-                    out[i:i + block, i:] = acc
-                    out[i:, i:i + block] = acc.T
+                    out[:, i:i + block, i:] = acc
+                    out[:, i:, i:i + block] = acc.transpose(0, 2, 1)
         except BaseException as exc:  # raised in the caller below
             errors.append(exc)
 
@@ -148,7 +160,7 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
         thread.join()
     if errors:
         raise errors[0]
-    return out
+    return out if batched else out[0]
 
 
 MEMINFO = "/proc/meminfo"
@@ -218,14 +230,13 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
     # self-merges, so any overflow rejects the samples
     try:
         with np.errstate(over="raise"):
-            merges = _generic_ward(samples)
+            return Linkage(n, *_generic_ward(samples))
     except FloatingPointError:
         raise DataError("squared distances or merge costs between the "
                         "samples overflow; rescale them") from None
-    return Linkage(n_samples=n, merges=merges)
 
 
-def _generic_ward(samples: np.ndarray) -> tuple[Merge, ...]:
+def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Müllner's generic algorithm on the cached nearest neighbours."""
     n = samples.shape[0]
     # one row per active cluster; the cluster born in a merge takes over
@@ -237,14 +248,15 @@ def _generic_ward(samples: np.ndarray) -> tuple[Merge, ...]:
     order = np.arange(n)  # active rows in increasing id order
     near_d, near_r = _nearest(dist, order, order, row_id)
 
-    merge_a, merge_b, merge_size = (np.empty(n - 1, dtype=np.int64) for _ in range(3))
-    merge_cost = np.empty(n - 1)
+    ids = np.empty((n - 1, 2), dtype=np.int64)
+    costs, sizes = np.empty(n - 1), np.empty(n - 1, dtype=np.int64)
+    merge_a, merge_b = ids.T
     for step in range(n - 1):
         k = int(near_d[order].argmin())
         i = order[k]
         j = near_r[i]
         merge_a[step], merge_b[step] = row_id[i], row_id[j]
-        merge_cost[step], merge_size[step] = dist[i, j], size[i] + size[j]
+        costs[step], sizes[step] = dist[i, j], size[i] + size[j]
 
         keep = order != j
         keep[k] = False
@@ -270,21 +282,5 @@ def _generic_ward(samples: np.ndarray) -> tuple[Merge, ...]:
         near_d[i] = np.inf
         if rescan.size:
             near_d[rescan], near_r[rescan] = _nearest(dist, rescan, order, row_id)
-    return tuple(map(Merge, merge_a.tolist(), merge_b.tolist(),
-                     merge_cost.tolist(), merge_size.tolist()))
+    return ids, costs, sizes
 
-
-def medoid_of(samples: np.ndarray, members) -> int:
-    """Member index minimizing the summed squared distance to all members.
-
-    Ties resolve to the lowest sample index.
-    """
-    members = np.asarray(sorted(int(m) for m in members), dtype=np.int64)
-    if members.size == 0:
-        raise ConfigError("member set is empty")
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim == 1:
-        samples = samples.reshape(-1, 1)
-    pts = samples[members]
-    sums = sq_distances(pts).sum(axis=1)
-    return int(members[int(np.argmin(sums))])

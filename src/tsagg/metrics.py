@@ -16,23 +16,20 @@ import numpy as np
 from .core import PeriodFrame
 from .errors import DataError
 from .hierarchy import ClusterResult
-from .representation import RepresentativeSet
+from .segmentation import SegmentLayout
 
 
 def reconstruct(frame: PeriodFrame, clusters: ClusterResult,
-                reps: RepresentativeSet) -> np.ndarray:
-    """Expand representatives back to the full horizon, (N_t, N_a)."""
+                layout: SegmentLayout) -> np.ndarray:
+    """Expand segmented representatives back to the full horizon, (N_t, N_a)."""
     if clusters.n_samples != frame.n_periods:
         raise DataError(
             f"assignment covers {clusters.n_samples} periods, frame has {frame.n_periods}")
-    if reps.k != clusters.k:
-        raise DataError(f"{reps.k} representatives for {clusters.k} clusters")
-    expanded = reps.profiles
-    if reps.segments is not None:
-        layout = reps.segments
-        expanded = np.repeat(layout.values.reshape(-1, reps.n_attributes),
-                             layout.lengths.ravel(), axis=0).reshape(expanded.shape)
-    rec = expanded[clusters.assignment]
+    if layout.lengths.shape[0] != clusters.k:
+        raise DataError(f"{layout.lengths.shape[0]} representatives for {clusters.k} clusters")
+    expanded = np.repeat(layout.values.reshape(-1, frame.n_attributes),
+                         layout.lengths.ravel(), axis=0)
+    rec = expanded.reshape(clusters.k, -1, frame.n_attributes)[clusters.assignment]
     return rec.reshape(frame.n_periods * frame.steps_per_period, frame.n_attributes)
 
 

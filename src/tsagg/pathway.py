@@ -27,8 +27,8 @@ from .core import PeriodFrame
 from .errors import ConfigError
 from .hierarchy import ClusterResult, Linkage, ward_linkage
 from .metrics import reconstruct, rmse_tot
-from .representation import RepresentativeSet, represent
-from .segmentation import cut_layout, segment_linkage
+from .representation import represent
+from .segmentation import SegmentLayout, cut_layout, segment_linkage
 
 MORE_PERIODS = "more_periods"
 MORE_SEGMENTS = "more_segments"
@@ -136,7 +136,7 @@ class ConfigEvaluator:
                                     sizes=clusters.sizes[new], nodes=clusters.nodes[new])
                 frame = replace(frame, n_periods=periods.size, rows=frame.rows[periods])
             if new.size:
-                profiles = represent(frame, sub, self.method).profiles
+                profiles = represent(frame, sub, self.method)
                 self._row[sub.nodes] = start + sum(map(len, batch)) + np.arange(new.size)
                 batch.append(profiles)
             self._clusters[p] = clusters
@@ -144,7 +144,7 @@ class ConfigEvaluator:
             self._profiles = np.concatenate([self._profiles, *batch])
             self._ranks = np.concatenate([self._ranks, segment_linkage(self._profiles[start:])])
 
-    def reconstruction(self, p: int, s: int) -> tuple[ClusterResult, RepresentativeSet,
+    def reconstruction(self, p: int, s: int) -> tuple[ClusterResult, SegmentLayout,
                                                        np.ndarray]:
         """Clusters, segmented representatives and full-length reconstruction."""
         if not 1 <= p <= self.frame.n_periods:
@@ -153,10 +153,8 @@ class ConfigEvaluator:
             raise ConfigError(f"s={s} out of range [1, {self.frame.steps_per_period}]")
         clusters = self.clusters(p)
         rows = self._row[clusters.nodes]
-        profiles = self._profiles[rows]
-        reps = RepresentativeSet(profiles=profiles, weights=clusters.sizes.copy(),
-                                 segments=cut_layout(profiles, self._ranks[rows], s))
-        return clusters, reps, reconstruct(self.frame, clusters, reps)
+        layout = cut_layout(self._profiles[rows], self._ranks[rows], s)
+        return clusters, layout, reconstruct(self.frame, clusters, layout)
 
     def evaluate(self, p: int, s: int) -> PathwayState:
         key = (p, s)

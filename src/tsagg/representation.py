@@ -12,52 +12,27 @@ centroid peaks. Sorting the result therefore reproduces the grouped
 duration curve exactly, while the placement keeps the centroid's
 chronology.
 
-All representatives live in normalized space; weights are the cluster
-sizes. Centroid ranks are sorted descending and stable, ties resolving to
-the earlier time step. Clusters of equal size are computed together, one
-array pass per size.
+Representatives are one (k, steps, N_a) array in normalized space; their
+weights are the cluster sizes. Centroid ranks are sorted descending and
+stable, ties resolving to the earlier time step; medoid ties resolve to
+the lowest period index. Clusters of equal size are computed together, one
+array pass per size: the medoid sums the rows of their batched distance
+matrices.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import PeriodFrame
 from .errors import ConfigError, DataError
-from .hierarchy import ClusterResult, medoid_of
+from .hierarchy import ClusterResult, sq_distances
 
 REPRESENTATION_METHODS = ("centroid", "medoid", "distribution")
 
 
-@dataclass(frozen=True)
-class RepresentativeSet:
-    """k representative period profiles with their cluster weights.
-
-    profiles has shape (k, steps_per_period, N_a), normalized units.
-    segments is attached by the segmentation stage.
-    """
-
-    profiles: np.ndarray
-    weights: np.ndarray
-    segments: "SegmentLayout | None" = None  # noqa: F821 (segmentation module)
-
-    @property
-    def k(self) -> int:
-        return self.profiles.shape[0]
-
-    @property
-    def steps_per_period(self) -> int:
-        return self.profiles.shape[1]
-
-    @property
-    def n_attributes(self) -> int:
-        return self.profiles.shape[2]
-
-
-def represent(frame: PeriodFrame, clusters: ClusterResult, method: str) -> RepresentativeSet:
-    """One representative profile per cluster by the named method."""
+def represent(frame: PeriodFrame, clusters: ClusterResult, method: str) -> np.ndarray:
+    """One representative profile per cluster, shape (k, steps, N_a)."""
     if method not in REPRESENTATION_METHODS:
         raise ConfigError(
             f"unknown representation method {method!r}, expected one of {REPRESENTATION_METHODS}")
@@ -70,16 +45,17 @@ def represent(frame: PeriodFrame, clusters: ClusterResult, method: str) -> Repre
     members = np.argsort(clusters.assignment, kind="stable")
     starts = np.cumsum(sizes) - sizes
     profiles = np.empty((k, steps, n_attrs))
-    if method == "medoid":
-        for c in range(k):
-            source = medoid_of(frame.rows, members[starts[c]:starts[c] + sizes[c]])
-            profiles[c] = frame.rows[source].reshape(steps, n_attrs)
-        return RepresentativeSet(profiles=profiles, weights=sizes.copy())
-    for size in np.unique(sizes):
+    # the distinct sizes, ascending; np.unique would import numpy.ma
+    for size in np.flatnonzero(np.bincount(sizes)):
         group = np.flatnonzero(sizes == size)
         rows = frame.rows[members[starts[group, None] + np.arange(size)]]
-        # reducing axis 1 sums the members in order, as a per-cluster mean does
         periods = rows.reshape(group.size, size, steps, n_attrs)
+        if method == "medoid":
+            # the first minimum is the lowest period index, as members ascend
+            best = sq_distances(rows).sum(axis=2).argmin(axis=1)
+            profiles[group] = periods[np.arange(group.size), best]
+            continue
+        # reducing axis 1 sums the members in order, as a per-cluster mean does
         centroid = periods.mean(axis=1)
         if method == "centroid":
             profiles[group] = centroid
@@ -94,4 +70,4 @@ def represent(frame: PeriodFrame, clusters: ClusterResult, method: str) -> Repre
         placed = np.empty_like(centroid)
         np.put_along_axis(placed, order, group_means.transpose(0, 2, 1), axis=1)
         profiles[group] = placed
-    return RepresentativeSet(profiles=profiles, weights=sizes.copy())
+    return profiles

@@ -117,7 +117,7 @@ def cut_layout(profiles: np.ndarray, ranks: np.ndarray, n_segments: int) -> Segm
     # gathering equal-length runs and reducing axis 1 sums each run in the
     # same order as profile[a:b].mean(axis=0); np.add.reduceat does not
     values = np.empty((k, n_segments, n_attrs))
-    for length in np.unique(lengths):
+    for length in np.flatnonzero(np.bincount(lengths.ravel())):
         c, j = np.nonzero(lengths == length)
         window = starts[c, j, None] + np.arange(length)
         values[c, j] = profiles[c[:, None], window].mean(axis=1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from tsagg import core
@@ -15,6 +17,25 @@ def build_frame(values, steps_per_period, norm="minmax"):
         values = values.reshape(-1, 1)
     names = [f"attr{i}" for i in range(values.shape[1])]
     return core.build_frame(values, names, steps_per_period, norm)
+
+
+def use_cpus(monkeypatch, n_cpus):
+    """Make the process's CPU affinity mask n_cpus wide for the test."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                        raising=False)
+
+
+def each_worker_count(monkeypatch):
+    """Yield 1, 2 and 3 with the distance kernel's CPU count set to it."""
+    for workers in (1, 2, 3):
+        use_cpus(monkeypatch, workers)
+        yield workers
+
+
+def merge_list(linkage):
+    """A linkage's merge arrays as [(id_a, id_b, cost, size)], the oracles' form."""
+    return list(zip(*linkage.ids.T.tolist(), linkage.costs.tolist(),
+                    linkage.sizes.tolist()))
 
 
 def random_matrix(rng, n_steps, n_attrs, spread=1.0):

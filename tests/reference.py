@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from tsagg.errors import DataError
-from tsagg.hierarchy import Merge
 
 
 def ward_merge_cost(samples, members_a, members_b):
@@ -68,7 +67,8 @@ def dense_ward(samples):
 
     Two (2n - 1)^2 matrices hold the distances and an upper-triangle search
     copy; every merge takes one argmin over the whole search matrix, whose
-    row-major order is the (cost, id_a, id_b) tie rule. Returns the merges.
+    row-major order is the (cost, id_a, id_b) tie rule. Returns the merges
+    as arrays: the (id_a, id_b) pairs, the costs and the new cluster sizes.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
@@ -87,13 +87,15 @@ def dense_ward(samples):
     iu = np.triu_indices(n, k=1)
     search[:n, :n][iu] = dist[:n, :n][iu]
 
-    merges = []
+    ids = np.empty((n_merges, 2), dtype=np.int64)
+    costs = np.empty(n_merges)
+    sizes = np.empty(n_merges, dtype=np.int64)
     for step in range(n_merges):
         flat = int(np.argmin(search))
         i, j = divmod(flat, total)
         q = n + step
         size[q] = size[i] + size[j]
-        merges.append(Merge(id_a=i, id_b=j, cost=float(dist[i, j]), size=int(size[q])))
+        ids[step], costs[step], sizes[step] = (i, j), dist[i, j], size[q]
 
         others = np.flatnonzero(size[:q] > 0)
         others = others[(others != i) & (others != j)]
@@ -110,7 +112,7 @@ def dense_ward(samples):
         # inactive clusters keep an inf distance to q
         search[:q, q] = dist[:q, q]
         size[i] = size[j] = 0.0
-    return tuple(merges)
+    return ids, costs, sizes
 
 
 def chain_matrix(n):

@@ -135,8 +135,7 @@ def test_ward_oracle_equivalence():
         free = ward_linkage(samples)
         free_ref = naive_ward(samples)
         chain_ref = naive_ward(samples, chain_matrix(n))
-        ok = [(m.id_a, m.id_b) for m in free.merges] == \
-            [(a, b) for a, b, _, _ in free_ref]
+        ok = free.ids.tolist() == [[a, b] for a, b, _, _ in free_ref]
         # a chain's partitions at every k fix its merge sequence
         for k in range(1, n + 1):
             ok = ok and np.array_equal(free.cut(k).assignment,

@@ -103,13 +103,12 @@ class TestAggregate:
                      "--period-length", "6", "--typical-periods", "4",
                      "--segments", "3", "--normalization", "znorm"]) == 0
         frame = build_frame(values, ["a", "b"], 6, "znorm")
-        _, reps, _ = ConfigEvaluator(frame, "distribution").reconstruction(4, 3)
-        layout = reps.segments
+        clusters, layout, _ = ConfigEvaluator(frame, "distribution").reconstruction(4, 3)
         segment_values = denormalize(layout.values.reshape(-1, 2), frame.norm_params)
         expected = ["cluster_id,weight,segment_id,duration_steps,a,b"]
         for i, (a, b) in enumerate(segment_values):
             c, j = divmod(i, 3)
-            expected.append(f"{c},{reps.weights[c]},{j},{layout.lengths[c, j]},"
+            expected.append(f"{c},{clusters.sizes[c]},{j},{layout.lengths[c, j]},"
                             f"{a:.12g},{b:.12g}")
         assert (out / "representatives.csv").read_text().splitlines() == expected
 
@@ -128,8 +127,7 @@ class TestAggregate:
         for row in mapping:
             series.extend(expanded_cluster[row["cluster_id"]])
         # rescore in normalized space against the original input
-        original = validate_and_build(
-            load_profile(365, seed=0), ["load"])
+        original, _ = validate_and_build(load_profile(365, seed=0), ["load"])
         normalized, params = normalize(original, "minmax")
         rebuilt = (np.array(series).reshape(-1, 1) - params.offset) / params.scale
         metrics = json.loads((out / "metrics.json").read_text())
@@ -170,6 +168,16 @@ class TestAggregate:
                      "--typical-periods", "1"])
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"load\n1.0\n\xe9\n")
+        code = main(["aggregate", "--input", str(path), "--out-dir",
+                     str(tmp_path / "out"), "--period-length", "1",
+                     "--typical-periods", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_byte_order_mark_with_timestamp(self, tmp_path):
         path = tmp_path / "bom.csv"
@@ -414,3 +422,20 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_calls_load_no_numpy_ma(tmp_path):
+    # numpy.ma costs about 17 ms of import time; np.unique(x) loads it
+    path = tmp_path / "in.csv"
+    write_csv(path, load_profile(30, seed=0), ["load"])
+    calls = [["aggregate", "--typical-periods", "4", "--segments", "6",
+              "--representation", "medoid"], ["pathway", "--budget", "96"]]
+    code = ("import sys; from tsagg.cli import main\n"
+            f"for argv in {calls!r}:\n"
+            f"    assert main(argv + ['--input', {str(path)!r}, '--period-length', '24',"
+            f" '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(tsagg.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"

@@ -16,17 +16,18 @@ def matrices(min_rows=2, max_rows=30, max_cols=4):
             lambda c: arrays(np.float64, (r, c), elements=finite)))
 
 
-def make_set(values):
+def validated(values):
     values = np.asarray(values, dtype=np.float64)
     names = [f"a{i}" for i in range(values.shape[1])]
-    return validate_and_build(values, names)
+    return validate_and_build(values, names)[0]
 
 
 class TestValidateAndBuild:
     def test_year_of_hourly_load(self):
-        ts = validate_and_build(np.ones((8760, 1)), ["load"])
-        assert ts.n_steps == 8760
-        assert ts.n_attributes == 1
+        values, names = validate_and_build(np.ones((8760, 1)), ["load"])
+        assert values.shape == (8760, 1)
+        assert names == ("load",)
+        assert not values.flags.writeable
 
     def test_nan_rejected_with_position(self):
         values = np.zeros((4, 2))
@@ -50,29 +51,29 @@ class TestValidateAndBuild:
 
 class TestNormalize:
     def test_minmax_simple(self):
-        normalized, params = normalize(make_set([[2.0], [4.0], [6.0]]), "minmax")
+        normalized, params = normalize(validated([[2.0], [4.0], [6.0]]), "minmax")
         assert normalized.ravel().tolist() == [0.0, 0.5, 1.0]
         assert params.offset[0] == 2.0 and params.scale[0] == 4.0
 
     def test_minmax_constant_attribute(self):
-        normalized, params = normalize(make_set([[5.0], [5.0], [5.0]]), "minmax")
+        normalized, params = normalize(validated([[5.0], [5.0], [5.0]]), "minmax")
         assert normalized.ravel().tolist() == [0.0, 0.0, 0.0]
         assert params.offset[0] == 5.0 and params.scale[0] == 1.0
 
     def test_znorm_two_points(self):
         # sample std (ddof=1) of [0, 2] is sqrt(2), so values map to -+1/sqrt(2)
-        normalized, _ = normalize(make_set([[0.0], [2.0]]), "znorm")
+        normalized, _ = normalize(validated([[0.0], [2.0]]), "znorm")
         np.testing.assert_allclose(
             normalized.ravel(), [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-14)
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
-            normalize(make_set([[1.0], [2.0]]), "scale")
+            normalize(validated([[1.0], [2.0]]), "scale")
 
     @settings(max_examples=60, deadline=None)
     @given(matrices())
     def test_minmax_range(self, values):
-        normalized, _ = normalize(make_set(values), "minmax")
+        normalized, _ = normalize(validated(values), "minmax")
         assert normalized.min() >= 0.0
         assert normalized.max() <= 1.0
         for a in range(values.shape[1]):
@@ -84,7 +85,7 @@ class TestNormalize:
     @settings(max_examples=60, deadline=None)
     @given(matrices(min_rows=3))
     def test_znorm_moments(self, values):
-        normalized, _ = normalize(make_set(values), "znorm")
+        normalized, _ = normalize(validated(values), "znorm")
         assert np.all(np.isfinite(normalized))
         for a in range(values.shape[1]):
             col = values[:, a]
@@ -97,25 +98,25 @@ class TestNormalize:
 
 class TestDenormalize:
     def test_inverts_minmax(self):
-        _, params = normalize(make_set([[2.0], [4.0], [6.0]]), "minmax")
+        _, params = normalize(validated([[2.0], [4.0], [6.0]]), "minmax")
         restored = denormalize(np.array([[0.0], [0.5], [1.0]]), params)
         assert restored.ravel().tolist() == [2.0, 4.0, 6.0]
 
     def test_constant_attribute_restored(self):
-        _, params = normalize(make_set([[5.0], [5.0], [5.0]]), "minmax")
+        _, params = normalize(validated([[5.0], [5.0], [5.0]]), "minmax")
         restored = denormalize(np.zeros((3, 1)), params)
         assert restored.ravel().tolist() == [5.0, 5.0, 5.0]
 
     def test_dimension_mismatch(self):
-        _, params = normalize(make_set([[1.0, 2.0], [3.0, 4.0]]), "minmax")
+        _, params = normalize(validated([[1.0, 2.0], [3.0, 4.0]]), "minmax")
         with pytest.raises(DataError):
             denormalize(np.zeros((2, 3)), params)
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(), st.sampled_from(["minmax", "znorm"]))
     def test_round_trip(self, values, method):
-        ts = make_set(values)
-        normalized, params = normalize(ts, method)
+        x = validated(values)
+        normalized, params = normalize(x, method)
         restored = denormalize(normalized, params)
         # tolerance is relative to each attribute's magnitude
         for a in range(values.shape[1]):
@@ -125,7 +126,7 @@ class TestDenormalize:
 
 class TestToPeriods:
     def setup_method(self):
-        _, self.params = normalize(make_set([[0.0], [1.0]]), "minmax")
+        _, self.params = normalize(validated([[0.0], [1.0]]), "minmax")
 
     def test_daily_periods_of_a_year(self):
         frame = to_periods(np.zeros((8760, 1)), 24, self.params)
@@ -143,7 +144,7 @@ class TestToPeriods:
 
     def test_column_layout(self):
         # step-major, attribute-minor: (t, a) -> column t * N_a + a
-        _, params = normalize(make_set(np.zeros((2, 2))), "minmax")
+        _, params = normalize(validated(np.zeros((2, 2))), "minmax")
         data = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
         frame = to_periods(data, 2, params)
         assert frame.rows[0].tolist() == [1.0, 2.0, 3.0, 4.0]
@@ -154,8 +155,8 @@ class TestToPeriods:
     def test_unroll_is_lossless(self, n_periods, steps, n_attrs, data):
         values = data.draw(arrays(np.float64, (n_periods * steps, n_attrs),
                                   elements=finite))
-        ts = make_set(values)
-        normalized, params = normalize(ts, "minmax")
+        x = validated(values)
+        normalized, params = normalize(x, "minmax")
         frame = to_periods(normalized, steps, params)
         assert np.array_equal(frame.unrolled(), normalized)
 
@@ -164,7 +165,7 @@ class TestBuildFrame:
     def test_composes_the_three_stages(self):
         values = np.random.default_rng(0).standard_normal((50, 2))
         frame = build_frame(values, ["a", "b"], 24, "znorm", drop_trailing=True)
-        normalized, params = normalize(make_set(values), "znorm")
+        normalized, params = normalize(validated(values), "znorm")
         expected = to_periods(normalized, 24, params, drop_trailing=True)
         assert frame.rows.tobytes() == expected.rows.tobytes()
         assert frame.dropped_steps == 2

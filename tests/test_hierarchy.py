@@ -9,16 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tsagg import hierarchy
+from tsagg.core import NormParams, to_periods
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import (
-    available_memory,
-    medoid_of,
-    sq_distances,
-    ward_linkage,
-)
+from tsagg.hierarchy import ClusterResult, available_memory, sq_distances, ward_linkage
+from tsagg.representation import represent
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
-from helpers import build_frame, chain_partition, segment_one
+from helpers import (
+    build_frame,
+    chain_partition,
+    each_worker_count,
+    merge_list,
+    segment_one,
+    use_cpus,
+)
 from reference import (
     best_partition,
     chain_matrix,
@@ -30,17 +35,23 @@ from reference import (
 )
 
 
-def use_cpus(monkeypatch, n_cpus):
-    """Make the process's CPU affinity mask n_cpus wide for the test."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
-                        raising=False)
+def assert_same_merges(linkage, expected):
+    """The merge arrays equal the (ids, costs, sizes) arrays, bit for bit."""
+    for got, want in zip((linkage.ids, linkage.costs, linkage.sizes), expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
-def each_worker_count(monkeypatch):
-    """Yield 1, 2 and 3 with the distance kernel's CPU count set to it."""
-    for workers in (1, 2, 3):
-        use_cpus(monkeypatch, workers)
-        yield workers
+def record_threads(monkeypatch):
+    """The threads started from now on, in a list."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
 
 
 def assert_same_partition(a, b):
@@ -114,10 +125,9 @@ class TestOracleEquivalence:
             samples = rng.standard_normal((n, d))
             linkage = ward_linkage(samples)
             expected = naive_ward(samples)
-            assert [(m.id_a, m.id_b) for m in linkage.merges] == \
-                [(a, b) for a, b, _, _ in expected]
-            np.testing.assert_allclose([m.cost for m in linkage.merges],
-                                       [c for _, _, c, _ in expected], rtol=1e-9)
+            assert linkage.ids.tolist() == [[a, b] for a, b, _, _ in expected]
+            np.testing.assert_allclose(linkage.costs, [c for _, _, c, _ in expected],
+                                       rtol=1e-9)
             for k in range(1, n + 1):
                 assert_same_partition(linkage.cut(k).assignment,
                                       naive_cut(n, expected, k))
@@ -166,13 +176,13 @@ class TestDenseEquality:
     # the first merge takes the hub, so every spoke's cached neighbour is gone
     @example(spokes(20))
     def test_tie_heavy(self, rows):
-        assert ward_linkage(rows).merges == dense_ward(rows)
+        assert_same_merges(ward_linkage(rows), dense_ward(rows))
 
     def test_synthetic_year(self):
         values = np.column_stack([solar_profile(365, seed=4), wind_profile(365, seed=4),
                                   load_profile(365, seed=4)])
         rows = build_frame(values, 24).rows
-        assert ward_linkage(rows).merges == dense_ward(rows)
+        assert_same_merges(ward_linkage(rows), dense_ward(rows))
 
 
 class TestMemory:
@@ -226,7 +236,7 @@ def tie_heavy_sixty():
 class TestCut:
     def test_tie_heavy_every_k(self):
         linkage = ward_linkage(tie_heavy_sixty())
-        merges = [(m.id_a, m.id_b, m.cost, m.size) for m in linkage.merges]
+        merges = merge_list(linkage)
         for k in range(1, 61):
             cut = linkage.cut(k)
             expected = naive_cut(60, merges, k)
@@ -235,7 +245,7 @@ class TestCut:
 
     def test_nodes_every_k(self):
         linkage = ward_linkage(tie_heavy_sixty())
-        merges = [(m.id_a, m.id_b, m.cost, m.size) for m in linkage.merges]
+        merges = merge_list(linkage)
         for k in range(1, 61):
             np.testing.assert_array_equal(linkage.cut(k).nodes, naive_nodes(60, merges, k))
         # singletons are their sample ids; the last merge's cluster is 2n - 2
@@ -246,20 +256,21 @@ class TestCut:
 class TestLinkageProperties:
     def test_run_to_completion_has_n_minus_1_merges(self):
         linkage = ward_linkage(np.random.default_rng(0).standard_normal((12, 3)))
-        assert len(linkage.merges) == 11
+        assert linkage.ids.shape == (11, 2)
+        assert linkage.costs.shape == linkage.sizes.shape == (11,)
 
     def test_unconstrained_costs_non_decreasing(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             linkage = ward_linkage(rng.standard_normal((15, 2)))
-            costs = [m.cost for m in linkage.merges]
+            costs = linkage.costs.tolist()
             assert all(c1 <= c2 * (1 + 1e-12) for c1, c2 in zip(costs, costs[1:]))
 
     def test_determinism(self):
         samples = np.random.default_rng(2).standard_normal((20, 4))
         a = ward_linkage(samples.copy())
         b = ward_linkage(samples.copy())
-        assert a == b
+        assert_same_merges(a, (b.ids, b.costs, b.sizes))
         np.testing.assert_array_equal(a.cut(5).assignment, b.cut(5).assignment)
 
     def test_chain_clusters_are_intervals(self):
@@ -299,20 +310,34 @@ class TestLinkageProperties:
             assert len(split) == 1
 
 
+def medoid_periods(values, assignment):
+    """Per cluster, the period index whose row ``represent`` picks as medoid.
+
+    The periods are one step of one attribute each, left unscaled; the
+    values are distinct, so a row names its period.
+    """
+    unit = NormParams("minmax", offset=np.zeros(1), scale=np.ones(1))
+    frame = to_periods(np.asarray(values, dtype=np.float64).reshape(-1, 1), 1, unit)
+    assignment = np.asarray(assignment)
+    k = int(assignment.max()) + 1
+    clusters = ClusterResult(k=k, assignment=assignment,
+                             sizes=np.bincount(assignment), nodes=np.arange(k))
+    profiles = represent(frame, clusters, "medoid").reshape(k, 1)
+    return [int(np.flatnonzero(frame.rows[:, 0] == p)[0]) for p in profiles[:, 0]]
+
+
 class TestMedoid:
+    """The medoid of ``represent``: the member with the smallest distance sum."""
+
     def test_singleton(self):
-        assert medoid_of(np.array([[1.0], [2.0], [9.0], [4.0]]), {3}) == 3
+        assert medoid_periods([1.0, 2.0, 9.0, 4.0], [0, 0, 0, 1])[1] == 3
 
     def test_three_member_example(self):
-        assert medoid_of(np.array([[0.0], [1.0], [10.0]]), [0, 1, 2]) == 1
+        assert medoid_periods([0.0, 1.0, 10.0], [0, 0, 0]) == [1]
 
     def test_tie_goes_to_lowest_index(self):
         # symmetric around 1.5: indices 1 and 2 have equal distance sums
-        assert medoid_of(np.array([[0.0], [1.0], [2.0], [3.0]]), [0, 1, 2, 3]) == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            medoid_of(np.zeros((3, 1)), [])
+        assert medoid_periods([0.0, 1.0, 2.0, 3.0], [0, 0, 0, 0]) == [1]
 
 
 class TestSqDistances:
@@ -345,14 +370,34 @@ class TestSqDistances:
         # the CPU count stands in; None means unknown, so one worker
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        started = []
-
-        class Recorded(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
-
-        monkeypatch.setattr(threading, "Thread", Recorded)
+        started = record_threads(monkeypatch)
         x = np.random.default_rng(13).standard_normal((200, 72))
         assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()
         assert len(started) == (cpu_count or 1) - 1
+
+    def test_small_input_starts_no_thread(self, monkeypatch):
+        # 72 columns: the most rows whose differences do not fill two
+        # workers, and one more
+        use_cpus(monkeypatch, 3)
+        started = record_threads(monkeypatch)
+        n = 1
+        while 72 * (n + 1) * (n + 2) // 2 < 2 * hierarchy.THREAD_MIN_DIFFERENCES:
+            n += 1
+        rng = np.random.default_rng(16)
+        for rows in (31, n):
+            x = rng.standard_normal((rows, 72))
+            assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()
+        assert started == []
+        x = rng.standard_normal((n + 1, 72))
+        assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 1, 3), (5, 90, 72), (2, 300, 24)])
+    def test_batch_matches_one_group_at_a_time(self, shape, monkeypatch):
+        x = np.random.default_rng(shape[1]).integers(0, 3, shape) * 0.7
+        for _ in each_worker_count(monkeypatch):
+            got = sq_distances(x)
+            assert got.shape == (shape[0], shape[1], shape[1])
+            for group, matrix in zip(x, got):
+                assert matrix.tobytes() == sq_distances(group).tobytes()
+                assert matrix.tobytes() == sq_distance_matrix(group).tobytes()

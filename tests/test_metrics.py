@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -55,12 +53,11 @@ class TestReconstruct:
         rng = np.random.default_rng(2)
         frame = build_frame(rng.standard_normal((96, 1)), 24)
         clusters = ward_linkage(frame.rows).cut(2)
-        reps = represent(frame, clusters, "centroid")
-        reps = replace(reps, segments=cut_layout(
-            reps.profiles, segment_linkage(reps.profiles), 5))
-        rec = reconstruct(frame, clusters, reps).reshape(4, 24)
+        profiles = represent(frame, clusters, "centroid")
+        layout = cut_layout(profiles, segment_linkage(profiles), 5)
+        rec = reconstruct(frame, clusters, layout).reshape(4, 24)
         for p in range(4):
-            lengths = reps.segments.lengths[clusters.assignment[p]]
+            lengths = layout.lengths[clusters.assignment[p]]
             for start, length in zip(np.cumsum(lengths) - lengths, lengths):
                 run = rec[p, start:start + length]
                 assert np.all(run == run[0])
@@ -68,11 +65,10 @@ class TestReconstruct:
     def test_shape_mismatch_rejected(self):
         frame = build_frame(np.arange(12.0), 3)
         clusters = ward_linkage(np.zeros((2, 1))).cut(1)
-        reps = represent(build_frame(np.arange(6.0), 3), clusters, "centroid")
-        reps = replace(reps, segments=cut_layout(
-            reps.profiles, segment_linkage(reps.profiles), 3))
+        profiles = represent(build_frame(np.arange(6.0), 3), clusters, "centroid")
+        layout = cut_layout(profiles, segment_linkage(profiles), 3)
         with pytest.raises(DataError):
-            reconstruct(frame, clusters, reps)
+            reconstruct(frame, clusters, layout)
 
 
 class TestRmseTot:

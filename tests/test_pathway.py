@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +23,7 @@ from tsagg.pathway import (
 from tsagg.representation import REPRESENTATION_METHODS, represent
 from tsagg.segmentation import cut_layout, segment_linkage
 
-from helpers import build_frame
+from helpers import build_frame, merge_list
 from reference import naive_nodes
 
 
@@ -126,14 +124,13 @@ class TestNodeCache:
         for p, s in visits + visits[::-1]:
             clusters = linkage.cut(p)
             fresh = represent(frame, clusters, method)
-            layout = cut_layout(fresh.profiles, segment_linkage(fresh.profiles), s)
-            expected = reconstruct(frame, clusters, replace(fresh, segments=layout))
-            got_clusters, reps, rec = evaluator.reconstruction(p, s)
+            layout = cut_layout(fresh, segment_linkage(fresh), s)
+            expected = reconstruct(frame, clusters, layout)
+            got_clusters, got_layout, rec = evaluator.reconstruction(p, s)
             assert_array_equal(got_clusters.assignment, clusters.assignment)
-            assert_array_equal(reps.profiles, fresh.profiles)
-            assert_array_equal(reps.weights, fresh.weights)
-            assert_array_equal(reps.segments.lengths, layout.lengths)
-            assert_array_equal(reps.segments.values, layout.values)
+            assert_array_equal(got_clusters.sizes, clusters.sizes)
+            assert_array_equal(got_layout.lengths, layout.lengths)
+            assert_array_equal(got_layout.values, layout.values)
             assert_array_equal(rec, expected)
             assert evaluator.evaluate(p, s).rmse == rmse_tot(frame.unrolled(), expected)
 
@@ -152,8 +149,7 @@ class TestNodeCache:
         assert trace.final.p == frame.n_periods
         assert len(batches) == 1
         grid = build_grid(frame.n_periods)
-        merges = [(m.id_a, m.id_b, m.cost, m.size)
-                  for m in ward_linkage(frame.rows).merges]
+        merges = merge_list(ward_linkage(frame.rows))
         nodes = set().union(*(naive_nodes(frame.n_periods, merges, p).tolist()
                               for p in grid))
         assert sum(batches) == len(nodes) < sum(grid)

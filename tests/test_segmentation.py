@@ -142,7 +142,7 @@ class TestSegmentRepresentatives:
     @staticmethod
     def segmented(values, steps, k, n_segments):
         frame = build_frame(values, steps)
-        profiles = represent(frame, ward_linkage(frame.rows).cut(k), "centroid").profiles
+        profiles = represent(frame, ward_linkage(frame.rows).cut(k), "centroid")
         return profiles, cut_layout(profiles, segment_linkage(profiles), n_segments)
 
     def test_eight_times_eight(self):
