@@ -26,14 +26,14 @@ def main():
     parser.add_argument("--out", type=Path, default=Path("duration_sweep.csv"))
     args = parser.parse_args()
 
-    frame = build_frame(load_profile(args.days, seed=args.seed), ["load"], 24)
-    original = frame.unrolled()
-    evaluators = {method: ConfigEvaluator(frame, method) for method in METHODS}
+    periods, _, _ = build_frame(load_profile(args.days, seed=args.seed), ["load"], 24)
+    original = periods.reshape(-1, 1)
+    evaluators = {method: ConfigEvaluator(periods, method) for method in METHODS}
 
     with args.out.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["typical_days", "method", "rmse_tot", "duration_rmse"])
-        for k in build_grid(frame.n_periods):
+        for k in build_grid(periods.shape[0]):
             for method, evaluator in evaluators.items():
                 _, _, rec = evaluator.reconstruction(k, 24)
                 writer.writerow([

@@ -28,9 +28,9 @@ def main():
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for name, gen in PROFILES.items():
-        frame = build_frame(gen(args.days, seed=args.seed), [name], 24)
+        periods, _, _ = build_frame(gen(args.days, seed=args.seed), [name], 24)
         for method in METHODS:
-            trace = pathway_search(ConfigEvaluator(frame, method))
+            trace = pathway_search(ConfigEvaluator(periods, method))
             out = args.out_dir / f"{name}_{method}.csv"
             with out.open("w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")

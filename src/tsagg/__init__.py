@@ -1,8 +1,6 @@
 """Time-series aggregation into weighted typical periods with segments."""
 
 from .core import (
-    NormParams,
-    PeriodFrame,
     build_frame,
     denormalize,
     normalize,
@@ -10,7 +8,7 @@ from .core import (
     validate_and_build,
 )
 from .errors import ConfigError, DataError
-from .hierarchy import ClusterResult, Linkage, ward_linkage
+from .hierarchy import Linkage, ward_linkage
 from .metrics import (
     attribute_rmse,
     build_report,
@@ -30,15 +28,12 @@ from .representation import represent
 from .segmentation import SegmentLayout
 
 __all__ = [
-    "ClusterResult",
     "ConfigError",
     "ConfigEvaluator",
     "DataError",
     "Linkage",
-    "NormParams",
     "PathwayState",
     "PathwayTrace",
-    "PeriodFrame",
     "SegmentLayout",
     "attribute_rmse",
     "build_frame",

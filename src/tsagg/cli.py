@@ -30,7 +30,6 @@ from .core import (
     validate_and_build,
 )
 from .errors import ConfigError, DataError
-from .hierarchy import ClusterResult
 from .metrics import build_report
 from .pathway import ConfigEvaluator, PathwayTrace, pathway_search, select_config
 from .representation import REPRESENTATION_METHODS
@@ -66,7 +65,7 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     comma count differs from the header's or a blank or whitespace-only
     line (``loadtxt`` would skip it), and files ``loadtxt`` rejects, such as
     ``1_0`` or non-ASCII digits. Errors name the file, and the offending
-    line where there is one.
+    line where there is one: a record's last line, if it spans lines.
     """
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -83,7 +82,7 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     names = header[1:] if has_timestamp else header
     if not names:
         raise DataError(f"{path}: header declares no attribute columns (line 1)")
-    data, values = lines[1:], None
+    data, values, line_nos = lines[1:], None, None
     if (data and '"' not in text and all(map(str.strip, data))
             and set(map(str.count, data, repeat(","))) == {len(header) - 1}):
         try:
@@ -92,19 +91,21 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
         except ValueError:
             pass
     if values is None:
-        values = _parse_rows(path, reader, len(header), has_timestamp)
+        values, line_nos = _parse_rows(path, reader, len(header), has_timestamp)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         t, a = bad[0]
-        raise DataError(
-            f"{path}: line {t + 2}: non-finite value in column {names[a]!r}")
+        raise DataError(f"{path}: line {t + 2 if line_nos is None else line_nos[t]}: "
+                        f"non-finite value in column {names[a]!r}")
     return values, names
 
 
-def _parse_rows(path: Path, reader, n_fields: int, has_timestamp: bool) -> np.ndarray:
-    """The data rows of ``reader``, cell by cell through ``float()``."""
-    rows = []
-    for line_no, row in enumerate(reader, start=2):
+def _parse_rows(path: Path, reader, n_fields: int,
+                has_timestamp: bool) -> tuple[np.ndarray, list[int]]:
+    """The data rows of ``reader``, cell by cell through ``float()``, and their lines."""
+    rows, line_nos = [], []
+    for row in reader:
+        line_no = reader.line_num
         if not row:
             raise DataError(f"{path}: blank line {line_no}")
         if len(row) != n_fields:
@@ -115,17 +116,18 @@ def _parse_rows(path: Path, reader, n_fields: int, has_timestamp: bool) -> np.nd
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise DataError(f"{path}: line {line_no}: {exc}") from exc
+        line_nos.append(line_no)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return np.array(rows)
+    return np.array(rows), line_nos
 
 
 def write_representatives(path: Path, weights: np.ndarray, layout: SegmentLayout,
-                          names, norm_params) -> None:
+                          names, offset: np.ndarray, scale: np.ndarray) -> None:
     """One row per (cluster, segment), weighted by cluster size, values denormalized."""
     k, n_segments, n_attrs = layout.values.shape
-    values = denormalize(layout.values.reshape(-1, n_attrs),
-                         norm_params).reshape(layout.values.shape).tolist()
+    values = denormalize(layout.values.reshape(-1, n_attrs), offset,
+                         scale).reshape(layout.values.shape).tolist()
     weights, lengths = weights.tolist(), layout.lengths.tolist()
     # '%.12g' % x prints exactly what _fmt(x) prints
     row = "%d,%d,%d,%d" + ",%.12g" * n_attrs + "\n"
@@ -136,10 +138,10 @@ def write_representatives(path: Path, weights: np.ndarray, layout: SegmentLayout
                       for c in range(k) for si in range(n_segments))
 
 
-def write_mapping(path: Path, clusters: ClusterResult) -> None:
+def write_mapping(path: Path, assignment: np.ndarray) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         fh.write("period_index,cluster_id\n")
-        fh.writelines(f"{p},{c}\n" for p, c in enumerate(clusters.assignment.tolist()))
+        fh.writelines(f"{p},{c}\n" for p, c in enumerate(assignment.tolist()))
 
 
 def write_pathway(path: Path, trace: PathwayTrace) -> None:
@@ -159,35 +161,34 @@ def write_pathway(path: Path, trace: PathwayTrace) -> None:
 
 def _prepare(args: argparse.Namespace):
     values, names = read_csv(args.input)
-    frame = build_frame(values, names, args.period_length, args.normalization,
-                        args.drop_trailing)
-    if frame.dropped_steps:
-        print(f"note: dropped {frame.dropped_steps} trailing step(s)",
-              file=sys.stderr)
-    return names, ConfigEvaluator(frame, args.representation)
+    periods, offset, scale = build_frame(values, names, args.period_length,
+                                         args.normalization, args.drop_trailing)
+    dropped = values.shape[0] - periods.shape[0] * periods.shape[1]
+    if dropped:
+        print(f"note: dropped {dropped} trailing step(s)", file=sys.stderr)
+    return names, offset, scale, ConfigEvaluator(periods, args.representation)
 
 
-def _aggregate(names, evaluator: ConfigEvaluator, p: int, s: int,
+def _aggregate(names, offset, scale, evaluator: ConfigEvaluator, p: int, s: int,
                out_dir: Path) -> None:
-    frame = evaluator.frame
-    clusters, layout, rec = evaluator.reconstruction(p, s)
-    report = build_report(frame.unrolled(), rec, names, total_steps=p * s)
+    assignment, layout, rec = evaluator.reconstruction(p, s)
+    report = build_report(evaluator.periods.reshape(rec.shape), rec, names, total_steps=p * s)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_representatives(out_dir / "representatives.csv", clusters.sizes, layout,
-                          names, frame.norm_params)
-    write_mapping(out_dir / "mapping.csv", clusters)
+    write_representatives(out_dir / "representatives.csv", np.bincount(assignment), layout,
+                          names, offset, scale)
+    write_mapping(out_dir / "mapping.csv", assignment)
     write_json(out_dir / "metrics.json", report)
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    names, evaluator = _prepare(args)
-    s = args.segments if args.segments is not None else evaluator.frame.steps_per_period
-    _aggregate(names, evaluator, args.typical_periods, s, args.out_dir)
+    names, offset, scale, evaluator = _prepare(args)
+    s = args.segments if args.segments is not None else evaluator.periods.shape[1]
+    _aggregate(names, offset, scale, evaluator, args.typical_periods, s, args.out_dir)
     return 0
 
 
 def cmd_pathway(args: argparse.Namespace) -> int:
-    names, evaluator = _prepare(args)
+    names, offset, scale, evaluator = _prepare(args)
     trace = pathway_search(evaluator, max_total_steps=args.budget)
     selected = (select_config(trace, args.budget)
                 if args.budget is not None else trace.final)
@@ -200,7 +201,7 @@ def cmd_pathway(args: argparse.Namespace) -> int:
         "rmse_tot": selected.rmse,
         "budget": args.budget,
     })
-    _aggregate(names, evaluator, selected.p, selected.s, args.out_dir)
+    _aggregate(names, offset, scale, evaluator, selected.p, selected.s, args.out_dir)
     return 0
 
 
@@ -217,8 +218,8 @@ def cmd_metrics(original_path: Path, aggregated_path: Path,
             f"shape mismatch: original {original.shape}, aggregated {aggregated.shape}")
     # align the aggregated columns to the original by name
     columns = [agg_names.index(n) for n in names]
-    normalized, params = normalize(original, normalization)
-    agg_normalized = (aggregated[:, columns] - params.offset) / params.scale
+    normalized, offset, scale = normalize(original, normalization)
+    agg_normalized = (aggregated[:, columns] - offset) / scale
     report = build_report(normalized, agg_normalized, names)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "metrics.json", report)

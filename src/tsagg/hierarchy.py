@@ -51,8 +51,14 @@ class Linkage:
     costs: np.ndarray
     sizes: np.ndarray
 
-    def cut(self, k: int) -> "ClusterResult":
-        """Partition into k clusters by replaying the first n - k merges."""
+    def cut(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Partition into k clusters by replaying the first n - k merges.
+
+        Returns (assignment, nodes): sample i is in cluster assignment[i],
+        numbered 0..k-1 by first appearance in sample order, and nodes[c] is
+        cluster c's node in the merge history, its sample id for a singleton
+        or n + m for the cluster born in merge m. Sizes: np.bincount(assignment).
+        """
         n = self.n_samples
         if not 1 <= k <= n:
             raise ConfigError(f"k={k} out of range [1, {n}]")
@@ -71,30 +77,7 @@ class Linkage:
         by_appearance = np.argsort(first_seen)
         label = np.empty(k, dtype=np.int64)
         label[by_appearance] = np.arange(k)
-        assignment = label[inverse]
-        sizes = np.bincount(assignment, minlength=k)
-        return ClusterResult(k=k, assignment=assignment, sizes=sizes,
-                             nodes=roots[by_appearance])
-
-
-@dataclass(frozen=True)
-class ClusterResult:
-    """Per-sample cluster index in [0, k), the cluster sizes |C_k| and nodes.
-
-    Clusters are numbered by first appearance in sample order, so the
-    labelling is reproducible. nodes[c] is cluster c's node in the merge
-    history: its sample id for a singleton, n + m for the cluster born in
-    merge m.
-    """
-
-    k: int
-    assignment: np.ndarray
-    sizes: np.ndarray
-    nodes: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.assignment.shape[0]
+        return label[inverse], roots[by_appearance]
 
 
 # the fewest differences a worker takes: timed on two CPUs, a second worker

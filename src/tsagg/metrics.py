@@ -13,24 +13,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PeriodFrame
 from .errors import DataError
-from .hierarchy import ClusterResult
 from .segmentation import SegmentLayout
 
 
-def reconstruct(frame: PeriodFrame, clusters: ClusterResult,
-                layout: SegmentLayout) -> np.ndarray:
-    """Expand segmented representatives back to the full horizon, (N_t, N_a)."""
-    if clusters.n_samples != frame.n_periods:
-        raise DataError(
-            f"assignment covers {clusters.n_samples} periods, frame has {frame.n_periods}")
-    if layout.lengths.shape[0] != clusters.k:
-        raise DataError(f"{layout.lengths.shape[0]} representatives for {clusters.k} clusters")
-    expanded = np.repeat(layout.values.reshape(-1, frame.n_attributes),
-                         layout.lengths.ravel(), axis=0)
-    rec = expanded.reshape(clusters.k, -1, frame.n_attributes)[clusters.assignment]
-    return rec.reshape(frame.n_periods * frame.steps_per_period, frame.n_attributes)
+def reconstruct(layout: SegmentLayout, assignment: np.ndarray) -> np.ndarray:
+    """Expand segmented representatives back to the full horizon, (P * T, N_a).
+
+    Period i takes the segments of representative assignment[i].
+    """
+    k, _, n_attrs = layout.values.shape
+    if assignment.size and not 0 <= assignment.min() <= assignment.max() < k:
+        raise DataError(f"assignment refers to clusters outside [0, {k})")
+    expanded = np.repeat(layout.values.reshape(-1, n_attrs), layout.lengths.ravel(), axis=0)
+    return expanded.reshape(k, -1, n_attrs)[assignment].reshape(-1, n_attrs)
 
 
 def _check_shapes(original: np.ndarray, aggregated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

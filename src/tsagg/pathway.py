@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PeriodFrame
 from .errors import ConfigError
-from .hierarchy import ClusterResult, Linkage, ward_linkage
+from .hierarchy import Linkage, ward_linkage
 from .metrics import reconstruct, rmse_tot
 from .representation import represent
 from .segmentation import SegmentLayout, cut_layout, segment_linkage
@@ -91,70 +90,67 @@ def build_grid(max_value: int) -> list[int]:
 class ConfigEvaluator:
     """Caches the pipeline stages shared between configurations, per node.
 
-    The period linkage is built once and cut once per typical-period count.
-    Most clusters of a cut are dendrogram nodes an earlier cut had, so one
-    store holds a representative profile and a segment merge order (a rank
-    row of ``segment_linkage``) per node. ``prepare(counts)`` cuts at each
-    new count, runs ``represent`` per cut on its new nodes, then
-    ``segment_linkage`` once on all of them; ``clusters(p)`` prepares one
-    count. (p, s) gathers its rows from the store and is cached. Both stages
-    treat each cluster alone, members ascending, so rows are the same bytes.
+    ``periods`` is the (P, T, N_a) array of normalized periods. Its period
+    linkage is built once on the (P, T·N_a) row view and cut once per
+    typical-period count. Most clusters of a cut are dendrogram nodes an
+    earlier cut had, so one store holds a representative profile and a
+    segment merge order (a rank row of ``segment_linkage``) per node.
+    ``prepare(counts)`` cuts at each new count, runs ``represent`` per cut on
+    its new nodes, then ``segment_linkage`` once on all of them. (p, s)
+    gathers its rows from the store and is cached. Both stages treat each
+    cluster alone, members ascending, so rows are the same bytes.
     """
 
-    def __init__(self, frame: PeriodFrame, method: str):
-        self.frame = frame
+    def __init__(self, periods: np.ndarray, method: str):
+        n_periods, steps, n_attrs = periods.shape
+        self.periods = periods
         self.method = method
-        self.period_linkage: Linkage = ward_linkage(frame.rows)
-        self._original = frame.unrolled()
-        self._clusters: dict[int, ClusterResult] = {}
+        self.period_linkage: Linkage = ward_linkage(periods.reshape(n_periods, -1))
+        self._original = periods.reshape(-1, n_attrs)
+        self._cuts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # node id -> row of the node store, -1 until the node is computed
-        self._row = np.full(2 * frame.n_periods - 1, -1, dtype=np.int64)
-        self._profiles = np.empty((0, frame.steps_per_period, frame.n_attributes))
-        self._ranks = np.empty((0, frame.steps_per_period - 1), dtype=np.int64)
+        self._row = np.full(2 * n_periods - 1, -1, dtype=np.int64)
+        self._profiles = np.empty((0, steps, n_attrs))
+        self._ranks = np.empty((0, steps - 1), dtype=np.int64)
         self._states: dict[tuple[int, int], PathwayState] = {}
-
-    def clusters(self, p: int) -> ClusterResult:
-        self.prepare([p])
-        return self._clusters[p]
 
     def prepare(self, counts: list[int]) -> None:
         """Cut at every new typical-period count and store the new nodes."""
         start, batch = self._profiles.shape[0], []
         for p in counts:
-            if p in self._clusters:
+            if p in self._cuts:
                 continue
-            clusters = self.period_linkage.cut(p)
-            new = np.flatnonzero(self._row[clusters.nodes] < 0)
+            assignment, nodes = self.period_linkage.cut(p)
+            new = np.flatnonzero(self._row[nodes] < 0)
             # a cut whose nodes are all new is its own sub-clustering: no copy
-            frame, sub = self.frame, clusters
-            if 0 < new.size < clusters.k:
+            periods, sub = self.periods, assignment
+            if 0 < new.size < nodes.size:
                 # the member periods of the new nodes, ascending, clustered by node
-                label = np.full(clusters.k, -1)
+                label = np.full(nodes.size, -1)
                 label[new] = np.arange(new.size)
-                periods = np.flatnonzero(label[clusters.assignment] >= 0)
-                sub = ClusterResult(k=new.size, assignment=label[clusters.assignment[periods]],
-                                    sizes=clusters.sizes[new], nodes=clusters.nodes[new])
-                frame = replace(frame, n_periods=periods.size, rows=frame.rows[periods])
+                members = np.flatnonzero(label[assignment] >= 0)
+                periods, sub = periods[members], label[assignment[members]]
             if new.size:
-                profiles = represent(frame, sub, self.method)
-                self._row[sub.nodes] = start + sum(map(len, batch)) + np.arange(new.size)
+                profiles = represent(periods, sub, self.method)
+                self._row[nodes[new]] = start + sum(map(len, batch)) + np.arange(new.size)
                 batch.append(profiles)
-            self._clusters[p] = clusters
+            self._cuts[p] = assignment, nodes
         if batch:
             self._profiles = np.concatenate([self._profiles, *batch])
             self._ranks = np.concatenate([self._ranks, segment_linkage(self._profiles[start:])])
 
-    def reconstruction(self, p: int, s: int) -> tuple[ClusterResult, SegmentLayout,
-                                                       np.ndarray]:
-        """Clusters, segmented representatives and full-length reconstruction."""
-        if not 1 <= p <= self.frame.n_periods:
-            raise ConfigError(f"p={p} out of range [1, {self.frame.n_periods}]")
-        if not 1 <= s <= self.frame.steps_per_period:
-            raise ConfigError(f"s={s} out of range [1, {self.frame.steps_per_period}]")
-        clusters = self.clusters(p)
-        rows = self._row[clusters.nodes]
+    def reconstruction(self, p: int, s: int) -> tuple[np.ndarray, SegmentLayout, np.ndarray]:
+        """Cluster assignment, segmented representatives and full-length reconstruction."""
+        n_periods, steps = self.periods.shape[:2]
+        if not 1 <= p <= n_periods:
+            raise ConfigError(f"p={p} out of range [1, {n_periods}]")
+        if not 1 <= s <= steps:
+            raise ConfigError(f"s={s} out of range [1, {steps}]")
+        self.prepare([p])
+        assignment, nodes = self._cuts[p]
+        rows = self._row[nodes]
         layout = cut_layout(self._profiles[rows], self._ranks[rows], s)
-        return clusters, layout, reconstruct(self.frame, clusters, layout)
+        return assignment, layout, reconstruct(layout, assignment)
 
     def evaluate(self, p: int, s: int) -> PathwayState:
         key = (p, s)
@@ -174,9 +170,9 @@ def pathway_search(evaluator: ConfigEvaluator,
     reach: the whole grid when unbounded, otherwise the grid up to
     max_total_steps and the next count, a candidate of a state within it.
     """
-    frame = evaluator.frame
-    grid_p = build_grid(frame.n_periods)
-    grid_s = build_grid(frame.steps_per_period)
+    n_periods, steps = evaluator.periods.shape[:2]
+    grid_p = build_grid(n_periods)
+    grid_s = build_grid(steps)
     reachable = grid_p if max_total_steps is None else (
         grid_p[:bisect.bisect_right(grid_p, max_total_steps) + 1])
     evaluator.prepare(reachable)

@@ -12,58 +12,62 @@ centroid peaks. Sorting the result therefore reproduces the grouped
 duration curve exactly, while the placement keeps the centroid's
 chronology.
 
-Representatives are one (k, steps, N_a) array in normalized space; their
-weights are the cluster sizes. Centroid ranks are sorted descending and
-stable, ties resolving to the earlier time step; medoid ties resolve to
-the lowest period index. Clusters of equal size are computed together, one
-array pass per size: the medoid sums the rows of their batched distance
-matrices.
+The input is the (P, T, N_a) period array and each period's cluster index
+in [0, k); the output is one (k, T, N_a) array in normalized space. The
+weights are the cluster sizes, ``np.bincount(assignment)``. Centroid ranks
+are sorted descending and stable, ties resolving to the earlier time step;
+medoid ties resolve to the lowest period index. Clusters of equal size are
+computed together, one array pass per size: the medoid sums the rows of
+their batched distance matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import PeriodFrame
 from .errors import ConfigError, DataError
-from .hierarchy import ClusterResult, sq_distances
+from .hierarchy import sq_distances
 
 REPRESENTATION_METHODS = ("centroid", "medoid", "distribution")
 
 
-def represent(frame: PeriodFrame, clusters: ClusterResult, method: str) -> np.ndarray:
-    """One representative profile per cluster, shape (k, steps, N_a)."""
+def represent(periods: np.ndarray, assignment: np.ndarray, method: str) -> np.ndarray:
+    """One representative profile per cluster, (P, T, N_a) -> (k, T, N_a).
+
+    assignment[i] is period i's cluster; every cluster 0..k-1 must have a
+    member, as the clusters of a cut do.
+    """
     if method not in REPRESENTATION_METHODS:
         raise ConfigError(
             f"unknown representation method {method!r}, expected one of {REPRESENTATION_METHODS}")
-    if clusters.n_samples != frame.n_periods:
+    if assignment.shape[0] != periods.shape[0]:
         raise DataError(
-            f"assignment covers {clusters.n_samples} periods, frame has {frame.n_periods}")
-    k, sizes = clusters.k, clusters.sizes
-    steps, n_attrs = frame.steps_per_period, frame.n_attributes
+            f"assignment covers {assignment.shape[0]} periods, there are {periods.shape[0]}")
+    sizes = np.bincount(assignment)
+    steps, n_attrs = periods.shape[1:]
     # member period indices, ascending, cluster after cluster
-    members = np.argsort(clusters.assignment, kind="stable")
+    members = np.argsort(assignment, kind="stable")
     starts = np.cumsum(sizes) - sizes
-    profiles = np.empty((k, steps, n_attrs))
+    profiles = np.empty((sizes.size, steps, n_attrs))
     # the distinct sizes, ascending; np.unique would import numpy.ma
     for size in np.flatnonzero(np.bincount(sizes)):
         group = np.flatnonzero(sizes == size)
-        rows = frame.rows[members[starts[group, None] + np.arange(size)]]
-        periods = rows.reshape(group.size, size, steps, n_attrs)
+        grouped = periods[members[starts[group, None] + np.arange(size)]]
         if method == "medoid":
             # the first minimum is the lowest period index, as members ascend
+            rows = grouped.reshape(group.size, size, steps * n_attrs)
             best = sq_distances(rows).sum(axis=2).argmin(axis=1)
-            profiles[group] = periods[np.arange(group.size), best]
+            profiles[group] = grouped[np.arange(group.size), best]
             continue
         # reducing axis 1 sums the members in order, as a per-cluster mean does
-        centroid = periods.mean(axis=1)
+        centroid = grouped.mean(axis=1)
         if method == "centroid":
             profiles[group] = centroid
             continue
         # per cluster and attribute, the pooled member values sorted
         # descending, then each run of |C_k| values reduced contiguously
         pooled = np.ascontiguousarray(
-            periods.reshape(group.size, size * steps, n_attrs).transpose(0, 2, 1))
+            grouped.reshape(group.size, size * steps, n_attrs).transpose(0, 2, 1))
         curve = -np.sort(-pooled, axis=2)
         group_means = curve.reshape(group.size, n_attrs, steps, size).mean(axis=3)
         order = np.argsort(-centroid, axis=1, kind="stable")

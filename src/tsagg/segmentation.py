@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentLayout:
     """Segments of k periods, in chronological order within each period.
 

@@ -10,13 +10,13 @@ from tsagg import core
 from tsagg.segmentation import cut_layout, segment_linkage
 
 
-def build_frame(values, steps_per_period, norm="minmax"):
-    """The library's frame builder with generated attribute names."""
+def periods_of(values, steps, norm="minmax"):
+    """The library's normalized (P, T, N_a) periods, with generated attribute names."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim == 1:
         values = values.reshape(-1, 1)
     names = [f"attr{i}" for i in range(values.shape[1])]
-    return core.build_frame(values, names, steps_per_period, norm)
+    return core.build_frame(values, names, steps, norm)[0]
 
 
 def use_cpus(monkeypatch, n_cpus):

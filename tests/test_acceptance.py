@@ -25,7 +25,7 @@ from tsagg.pathway import (
 )
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
-from helpers import build_frame, chain_partition
+from helpers import chain_partition, periods_of
 from reference import chain_matrix, naive_cut, naive_ward
 
 
@@ -38,29 +38,29 @@ def report(name, ok, detail=""):
     assert ok, line
 
 
-def aggregate_once(frame, p, s, method):
-    clusters, _, rec = ConfigEvaluator(frame, method).reconstruction(p, s)
-    return clusters, rec
+def aggregate_once(periods, p, s, method):
+    assignment, _, rec = ConfigEvaluator(periods, method).reconstruction(p, s)
+    return assignment, rec
 
 
 @pytest.fixture(scope="module")
 def solar_run():
-    frame = build_frame(solar_profile(365, seed=0), 24)
-    evaluator = ConfigEvaluator(frame, "distribution")
+    periods = periods_of(solar_profile(365, seed=0), 24)
+    evaluator = ConfigEvaluator(periods, "distribution")
     start = time.monotonic()
     trace = pathway_search(evaluator)
     elapsed = time.monotonic() - start
-    return frame, evaluator, trace, elapsed
+    return periods, evaluator, trace, elapsed
 
 
 def test_identity_configuration_zero_error():
     start = time.monotonic()
     rng = np.random.default_rng(42)
-    frame = build_frame(rng.standard_normal((30 * 24, 3)), 24)
+    periods = periods_of(rng.standard_normal((30 * 24, 3)), 24)
     zero = []
     for method in ("centroid", "medoid", "distribution"):
-        _, rec = aggregate_once(frame, 30, 24, method)
-        zero.append(rmse_tot(frame.unrolled(), rec) == 0.0)
+        _, rec = aggregate_once(periods, 30, 24, method)
+        zero.append(rmse_tot(periods.reshape(-1, 3), rec) == 0.0)
     elapsed = time.monotonic() - start
     report("identity-configuration-zero-error",
            all(zero) and elapsed < 5.0,
@@ -72,14 +72,14 @@ def test_duration_curve_reproduction():
     # exact replication of the grouped duration curve, per attribute
     two_attr = np.column_stack([load_profile(365, seed=0),
                                 load_profile(365, seed=1)])
-    frame = build_frame(two_attr, 24)
-    clusters, rec = aggregate_once(frame, 8, 24, "distribution")
+    periods = periods_of(two_attr, 24)
+    assignment, rec = aggregate_once(periods, 8, 24, "distribution")
     exact = True
     for a in range(2):
         parts = []
-        for c in range(clusters.k):
-            members = np.flatnonzero(clusters.assignment == c)
-            pooled = frame.rows.reshape(365, 24, 2)[members][:, :, a].reshape(-1)
+        for c in range(8):
+            members = np.flatnonzero(assignment == c)
+            pooled = periods[members][:, :, a].reshape(-1)
             pooled_desc = np.sort(pooled)[::-1]
             m = members.size
             means = np.array([np.mean(pooled_desc[i * m:(i + 1) * m])
@@ -90,11 +90,11 @@ def test_duration_curve_reproduction():
         exact = exact and np.array_equal(expected, got)
 
     # the synthesized profiles track the duration curve far closer than means
-    frame1 = build_frame(load_profile(365, seed=0), 24)
+    periods1 = periods_of(load_profile(365, seed=0), 24)
     scores = {}
     for method in ("centroid", "distribution"):
-        _, rec1 = aggregate_once(frame1, 8, 24, method)
-        scores[method] = duration_curve_rmse(frame1.unrolled(), rec1)[0]
+        _, rec1 = aggregate_once(periods1, 8, 24, method)
+        scores[method] = duration_curve_rmse(periods1.reshape(-1, 1), rec1)[0]
     factor_ok = scores["distribution"] <= 0.25 * scores["centroid"]
     elapsed = time.monotonic() - start
     report("duration-curve-reproduction",
@@ -105,18 +105,18 @@ def test_duration_curve_reproduction():
 
 def test_mean_conservation():
     rng = np.random.default_rng(0)
-    frame = build_frame(rng.standard_normal((30 * 24, 3)), 24)
+    periods = periods_of(rng.standard_normal((30 * 24, 3)), 24)
 
-    def mean_error(method, fr):
-        _, rec = aggregate_once(fr, 6, fr.steps_per_period, method)
-        return np.abs(rec.mean(axis=0) - fr.unrolled().mean(axis=0)).max()
+    def mean_error(method, ps):
+        _, rec = aggregate_once(ps, 6, 24, method)
+        return np.abs(rec.mean(axis=0) - ps.reshape(-1, 3).mean(axis=0)).max()
 
-    centroid_ok = mean_error("centroid", frame) < 1e-10
-    distribution_ok = mean_error("distribution", frame) < 1e-10
+    centroid_ok = mean_error("centroid", periods) < 1e-10
+    distribution_ok = mean_error("distribution", periods) < 1e-10
     medoid_breaks = False
     for seed in range(10):
-        fr = build_frame(np.random.default_rng(seed).standard_normal((30 * 24, 3)), 24)
-        if mean_error("medoid", fr) > 1e-6:
+        ps = periods_of(np.random.default_rng(seed).standard_normal((30 * 24, 3)), 24)
+        if mean_error("medoid", ps) > 1e-6:
             medoid_breaks = True
             break
     report("mean-conservation",
@@ -138,8 +138,7 @@ def test_ward_oracle_equivalence():
         ok = free.ids.tolist() == [[a, b] for a, b, _, _ in free_ref]
         # a chain's partitions at every k fix its merge sequence
         for k in range(1, n + 1):
-            ok = ok and np.array_equal(free.cut(k).assignment,
-                                       naive_cut(n, free_ref, k))
+            ok = ok and np.array_equal(free.cut(k)[0], naive_cut(n, free_ref, k))
             chain_cut = chain_partition(samples, k)
             ok = ok and np.array_equal(chain_cut, naive_cut(n, chain_ref, k))
             contiguous = contiguous and \
@@ -176,8 +175,8 @@ def test_pathway_direction_reproduction(solar_run):
                            for state in solar_trace.states if state.p < 8)
 
     start = time.monotonic()
-    wind_frame = build_frame(wind_profile(365, seed=0), 24)
-    wind_trace = pathway_search(ConfigEvaluator(wind_frame, "distribution"))
+    wind_periods = periods_of(wind_profile(365, seed=0), 24)
+    wind_trace = pathway_search(ConfigEvaluator(wind_periods, "distribution"))
     wind_elapsed = time.monotonic() - start
     wind_dirs = [m.direction for m in wind_trace.moves]
     wind_first3 = all(d == MORE_PERIODS for d in wind_dirs[:3])

@@ -102,13 +102,14 @@ class TestAggregate:
         assert main(["aggregate", "--input", str(path), "--out-dir", str(out),
                      "--period-length", "6", "--typical-periods", "4",
                      "--segments", "3", "--normalization", "znorm"]) == 0
-        frame = build_frame(values, ["a", "b"], 6, "znorm")
-        clusters, layout, _ = ConfigEvaluator(frame, "distribution").reconstruction(4, 3)
-        segment_values = denormalize(layout.values.reshape(-1, 2), frame.norm_params)
+        periods, offset, scale = build_frame(values, ["a", "b"], 6, "znorm")
+        assignment, layout, _ = ConfigEvaluator(periods, "distribution").reconstruction(4, 3)
+        segment_values = denormalize(layout.values.reshape(-1, 2), offset, scale)
+        weights = np.bincount(assignment)
         expected = ["cluster_id,weight,segment_id,duration_steps,a,b"]
         for i, (a, b) in enumerate(segment_values):
             c, j = divmod(i, 3)
-            expected.append(f"{c},{clusters.sizes[c]},{j},{layout.lengths[c, j]},"
+            expected.append(f"{c},{weights[c]},{j},{layout.lengths[c, j]},"
                             f"{a:.12g},{b:.12g}")
         assert (out / "representatives.csv").read_text().splitlines() == expected
 
@@ -128,8 +129,8 @@ class TestAggregate:
             series.extend(expanded_cluster[row["cluster_id"]])
         # rescore in normalized space against the original input
         original, _ = validate_and_build(load_profile(365, seed=0), ["load"])
-        normalized, params = normalize(original, "minmax")
-        rebuilt = (np.array(series).reshape(-1, 1) - params.offset) / params.scale
+        normalized, offset, scale = normalize(original, "minmax")
+        rebuilt = (np.array(series).reshape(-1, 1) - offset) / scale
         metrics = json.loads((out / "metrics.json").read_text())
         assert abs(rmse_tot(normalized, rebuilt) - metrics["rmse_tot"]) < 1e-9
 
@@ -394,6 +395,18 @@ class TestReadCsv:
         path = tmp_path_factory.getbasetemp() / "read_csv.csv"
         path.write_bytes(content)
         assert parse_outcome(read_csv, path) == parse_outcome(reference.read_csv, path)
+
+    @pytest.mark.parametrize("cell, message", [
+        ("inf", "non-finite value in column 'a'"),
+        ("abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_line_after_a_record_over_two_lines(self, tmp_path, cell, message):
+        # the first data record spans lines 2 and 3, so the bad cell is on line 4
+        path = tmp_path / "quoted.csv"
+        path.write_text(f'timestamp,a\n"t,1\n2",5\nx,{cell}\n', encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}: line 4: {message}"
 
     def test_benchmark_style_file_takes_fast_path(self, tmp_path, monkeypatch):
         # timestamps and 10 significant digits, as the benchmark writes them

@@ -48,21 +48,20 @@ class TestValidateAndBuild:
             validate_and_build(np.zeros((3, 2)), ["a"])
 
 
-
 class TestNormalize:
     def test_minmax_simple(self):
-        normalized, params = normalize(validated([[2.0], [4.0], [6.0]]), "minmax")
+        normalized, offset, scale = normalize(validated([[2.0], [4.0], [6.0]]), "minmax")
         assert normalized.ravel().tolist() == [0.0, 0.5, 1.0]
-        assert params.offset[0] == 2.0 and params.scale[0] == 4.0
+        assert offset[0] == 2.0 and scale[0] == 4.0
 
     def test_minmax_constant_attribute(self):
-        normalized, params = normalize(validated([[5.0], [5.0], [5.0]]), "minmax")
+        normalized, offset, scale = normalize(validated([[5.0], [5.0], [5.0]]), "minmax")
         assert normalized.ravel().tolist() == [0.0, 0.0, 0.0]
-        assert params.offset[0] == 5.0 and params.scale[0] == 1.0
+        assert offset[0] == 5.0 and scale[0] == 1.0
 
     def test_znorm_two_points(self):
         # sample std (ddof=1) of [0, 2] is sqrt(2), so values map to -+1/sqrt(2)
-        normalized, _ = normalize(validated([[0.0], [2.0]]), "znorm")
+        normalized, _, _ = normalize(validated([[0.0], [2.0]]), "znorm")
         np.testing.assert_allclose(
             normalized.ravel(), [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-14)
 
@@ -73,7 +72,7 @@ class TestNormalize:
     @settings(max_examples=60, deadline=None)
     @given(matrices())
     def test_minmax_range(self, values):
-        normalized, _ = normalize(validated(values), "minmax")
+        normalized, _, _ = normalize(validated(values), "minmax")
         assert normalized.min() >= 0.0
         assert normalized.max() <= 1.0
         for a in range(values.shape[1]):
@@ -85,7 +84,7 @@ class TestNormalize:
     @settings(max_examples=60, deadline=None)
     @given(matrices(min_rows=3))
     def test_znorm_moments(self, values):
-        normalized, _ = normalize(validated(values), "znorm")
+        normalized, _, _ = normalize(validated(values), "znorm")
         assert np.all(np.isfinite(normalized))
         for a in range(values.shape[1]):
             col = values[:, a]
@@ -98,26 +97,26 @@ class TestNormalize:
 
 class TestDenormalize:
     def test_inverts_minmax(self):
-        _, params = normalize(validated([[2.0], [4.0], [6.0]]), "minmax")
-        restored = denormalize(np.array([[0.0], [0.5], [1.0]]), params)
+        _, offset, scale = normalize(validated([[2.0], [4.0], [6.0]]), "minmax")
+        restored = denormalize(np.array([[0.0], [0.5], [1.0]]), offset, scale)
         assert restored.ravel().tolist() == [2.0, 4.0, 6.0]
 
     def test_constant_attribute_restored(self):
-        _, params = normalize(validated([[5.0], [5.0], [5.0]]), "minmax")
-        restored = denormalize(np.zeros((3, 1)), params)
+        _, offset, scale = normalize(validated([[5.0], [5.0], [5.0]]), "minmax")
+        restored = denormalize(np.zeros((3, 1)), offset, scale)
         assert restored.ravel().tolist() == [5.0, 5.0, 5.0]
 
     def test_dimension_mismatch(self):
-        _, params = normalize(validated([[1.0, 2.0], [3.0, 4.0]]), "minmax")
+        _, offset, scale = normalize(validated([[1.0, 2.0], [3.0, 4.0]]), "minmax")
         with pytest.raises(DataError):
-            denormalize(np.zeros((2, 3)), params)
+            denormalize(np.zeros((2, 3)), offset, scale)
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(), st.sampled_from(["minmax", "znorm"]))
     def test_round_trip(self, values, method):
         x = validated(values)
-        normalized, params = normalize(x, method)
-        restored = denormalize(normalized, params)
+        normalized, offset, scale = normalize(x, method)
+        restored = denormalize(normalized, offset, scale)
         # tolerance is relative to each attribute's magnitude
         for a in range(values.shape[1]):
             tol = 1e-12 * max(1.0, np.abs(values[:, a]).max())
@@ -125,30 +124,28 @@ class TestDenormalize:
 
 
 class TestToPeriods:
-    def setup_method(self):
-        _, self.params = normalize(validated([[0.0], [1.0]]), "minmax")
-
     def test_daily_periods_of_a_year(self):
-        frame = to_periods(np.zeros((8760, 1)), 24, self.params)
-        assert frame.n_periods == 365
-        assert frame.steps_per_period == 24
+        periods = to_periods(np.zeros((8760, 1)), 24)
+        assert periods.shape == (365, 24, 1)
+        assert not periods.flags.writeable
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ConfigError, match="remainder 1"):
-            to_periods(np.zeros((10, 1)), 3, self.params)
+            to_periods(np.zeros((10, 1)), 3)
 
     def test_drop_trailing(self):
-        frame = to_periods(np.zeros((10, 1)), 3, self.params, drop_trailing=True)
-        assert frame.n_periods == 3
-        assert frame.dropped_steps == 1
+        data = np.arange(10.0).reshape(10, 1)
+        periods = to_periods(data, 3, drop_trailing=True)
+        # three whole periods; the tenth step is the one dropped
+        assert periods.shape == (3, 3, 1)
+        assert periods.ravel().tolist() == data[:9].ravel().tolist()
 
     def test_column_layout(self):
-        # step-major, attribute-minor: (t, a) -> column t * N_a + a
-        _, params = normalize(validated(np.zeros((2, 2))), "minmax")
+        # step-major, attribute-minor: (t, a) -> column t * N_a + a of the row view
         data = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
-        frame = to_periods(data, 2, params)
-        assert frame.rows[0].tolist() == [1.0, 2.0, 3.0, 4.0]
-        assert frame.rows[1].tolist() == [5.0, 6.0, 7.0, 8.0]
+        rows = to_periods(data, 2).reshape(2, -1)
+        assert rows[0].tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert rows[1].tolist() == [5.0, 6.0, 7.0, 8.0]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 8), st.integers(1, 3), st.data())
@@ -156,20 +153,23 @@ class TestToPeriods:
         values = data.draw(arrays(np.float64, (n_periods * steps, n_attrs),
                                   elements=finite))
         x = validated(values)
-        normalized, params = normalize(x, "minmax")
-        frame = to_periods(normalized, steps, params)
-        assert np.array_equal(frame.unrolled(), normalized)
+        normalized, _, _ = normalize(x, "minmax")
+        periods = to_periods(normalized, steps)
+        assert np.array_equal(periods.reshape(-1, n_attrs), normalized)
 
 
 class TestBuildFrame:
     def test_composes_the_three_stages(self):
         values = np.random.default_rng(0).standard_normal((50, 2))
-        frame = build_frame(values, ["a", "b"], 24, "znorm", drop_trailing=True)
-        normalized, params = normalize(validated(values), "znorm")
-        expected = to_periods(normalized, 24, params, drop_trailing=True)
-        assert frame.rows.tobytes() == expected.rows.tobytes()
-        assert frame.dropped_steps == 2
-        assert frame.norm_params.method == "znorm"
+        periods, offset, scale = build_frame(values, ["a", "b"], 24, "znorm",
+                                             drop_trailing=True)
+        normalized, expected_offset, expected_scale = normalize(validated(values), "znorm")
+        expected = to_periods(normalized, 24, drop_trailing=True)
+        assert periods.tobytes() == expected.tobytes()
+        # 50 steps make two periods of 24; the last 2 steps are dropped
+        assert periods.shape == (2, 24, 2)
+        assert offset.tobytes() == expected_offset.tobytes()
+        assert scale.tobytes() == expected_scale.tobytes()
 
     def test_validates_the_raw_matrix(self):
         with pytest.raises(DataError, match="duplicate"):

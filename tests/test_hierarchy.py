@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsagg import hierarchy
-from tsagg.core import NormParams, to_periods
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import ClusterResult, available_memory, sq_distances, ward_linkage
+from tsagg.hierarchy import available_memory, sq_distances, ward_linkage
 from tsagg.representation import represent
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
 from helpers import (
-    build_frame,
     chain_partition,
     each_worker_count,
     merge_list,
+    periods_of,
     segment_one,
     use_cpus,
 )
@@ -62,15 +61,15 @@ def assert_same_partition(a, b):
 class TestWardExamples:
     def test_two_tight_pairs(self):
         samples = np.array([0.0, 0.1, 5.0, 5.1])
-        result = ward_linkage(samples).cut(2)
+        assignment, _ = ward_linkage(samples).cut(2)
         expected, _ = best_partition(samples, 2)
-        assert_same_partition(result.assignment, expected)
-        assert result.sizes.tolist() == [2, 2]
+        assert_same_partition(assignment, expected)
+        assert np.bincount(assignment).tolist() == [2, 2]
 
     def test_k_equals_n(self):
-        result = ward_linkage(np.array([3.0, 1.0, 2.0])).cut(3)
-        assert result.assignment.tolist() == [0, 1, 2]
-        assert result.sizes.tolist() == [1, 1, 1]
+        assignment, nodes = ward_linkage(np.array([3.0, 1.0, 2.0])).cut(3)
+        assert assignment.tolist() == [0, 1, 2]
+        assert nodes.tolist() == [0, 1, 2]
 
     def test_chain_two_plateaus(self):
         samples = np.array([0.0, 0.0, 10.0, 10.0])
@@ -129,8 +128,7 @@ class TestOracleEquivalence:
             np.testing.assert_allclose(linkage.costs, [c for _, _, c, _ in expected],
                                        rtol=1e-9)
             for k in range(1, n + 1):
-                assert_same_partition(linkage.cut(k).assignment,
-                                      naive_cut(n, expected, k))
+                assert_same_partition(linkage.cut(k)[0], naive_cut(n, expected, k))
 
     def test_chain_matches_naive(self):
         rng = np.random.default_rng(8)
@@ -181,7 +179,7 @@ class TestDenseEquality:
     def test_synthetic_year(self):
         values = np.column_stack([solar_profile(365, seed=4), wind_profile(365, seed=4),
                                   load_profile(365, seed=4)])
-        rows = build_frame(values, 24).rows
+        rows = periods_of(values, 24).reshape(365, -1)
         assert_same_merges(ward_linkage(rows), dense_ward(rows))
 
 
@@ -238,19 +236,19 @@ class TestCut:
         linkage = ward_linkage(tie_heavy_sixty())
         merges = merge_list(linkage)
         for k in range(1, 61):
-            cut = linkage.cut(k)
+            assignment, nodes = linkage.cut(k)
             expected = naive_cut(60, merges, k)
-            np.testing.assert_array_equal(cut.assignment, expected)
-            np.testing.assert_array_equal(cut.sizes, np.bincount(expected))
+            np.testing.assert_array_equal(assignment, expected)
+            assert nodes.size == k
 
     def test_nodes_every_k(self):
         linkage = ward_linkage(tie_heavy_sixty())
         merges = merge_list(linkage)
         for k in range(1, 61):
-            np.testing.assert_array_equal(linkage.cut(k).nodes, naive_nodes(60, merges, k))
+            np.testing.assert_array_equal(linkage.cut(k)[1], naive_nodes(60, merges, k))
         # singletons are their sample ids; the last merge's cluster is 2n - 2
-        np.testing.assert_array_equal(linkage.cut(60).nodes, np.arange(60))
-        assert linkage.cut(1).nodes.tolist() == [118]
+        np.testing.assert_array_equal(linkage.cut(60)[1], np.arange(60))
+        assert linkage.cut(1)[1].tolist() == [118]
 
 
 class TestLinkageProperties:
@@ -271,7 +269,8 @@ class TestLinkageProperties:
         a = ward_linkage(samples.copy())
         b = ward_linkage(samples.copy())
         assert_same_merges(a, (b.ids, b.costs, b.sizes))
-        np.testing.assert_array_equal(a.cut(5).assignment, b.cut(5).assignment)
+        for got, want in zip(a.cut(5), b.cut(5)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_chain_clusters_are_intervals(self):
         rng = np.random.default_rng(3)
@@ -294,8 +293,8 @@ class TestLinkageProperties:
         samples = rng.standard_normal((12, 2))
         linkage = ward_linkage(samples)
         for k in range(1, 12):
-            coarse = linkage.cut(k).assignment
-            fine = linkage.cut(k + 1).assignment
+            coarse, _ = linkage.cut(k)
+            fine, _ = linkage.cut(k + 1)
             # every fine cluster sits inside one coarse cluster
             split = set()
             for c in range(k + 1):
@@ -316,14 +315,9 @@ def medoid_periods(values, assignment):
     The periods are one step of one attribute each, left unscaled; the
     values are distinct, so a row names its period.
     """
-    unit = NormParams("minmax", offset=np.zeros(1), scale=np.ones(1))
-    frame = to_periods(np.asarray(values, dtype=np.float64).reshape(-1, 1), 1, unit)
-    assignment = np.asarray(assignment)
-    k = int(assignment.max()) + 1
-    clusters = ClusterResult(k=k, assignment=assignment,
-                             sizes=np.bincount(assignment), nodes=np.arange(k))
-    profiles = represent(frame, clusters, "medoid").reshape(k, 1)
-    return [int(np.flatnonzero(frame.rows[:, 0] == p)[0]) for p in profiles[:, 0]]
+    periods = np.asarray(values, dtype=np.float64).reshape(-1, 1, 1)
+    profiles = represent(periods, np.asarray(assignment), "medoid").ravel()
+    return [int(np.flatnonzero(periods.ravel() == p)[0]) for p in profiles]
 
 
 class TestMedoid:

@@ -17,7 +17,7 @@ from tsagg.pathway import ConfigEvaluator
 from tsagg.representation import represent
 from tsagg.segmentation import cut_layout, segment_linkage
 
-from helpers import build_frame
+from helpers import periods_of
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -29,46 +29,47 @@ def single_cell(i, j, value):
     return x
 
 
-def aggregate(frame, p, s, method):
-    return ConfigEvaluator(frame, method).reconstruction(p, s)[2]
+def aggregate(periods, p, s, method):
+    return ConfigEvaluator(periods, method).reconstruction(p, s)[2]
 
 
 class TestReconstruct:
     def test_identity_configuration_is_exact(self):
         rng = np.random.default_rng(0)
-        frame = build_frame(rng.standard_normal((72, 2)), 24)
+        periods = periods_of(rng.standard_normal((72, 2)), 24)
         for method in ("centroid", "medoid", "distribution"):
-            rec = aggregate(frame, frame.n_periods, 24, method)
-            np.testing.assert_array_equal(rec, frame.unrolled())
+            rec = aggregate(periods, 3, 24, method)
+            np.testing.assert_array_equal(rec, periods.reshape(72, 2))
 
     def test_single_cluster_single_segment_is_global_mean(self):
         rng = np.random.default_rng(1)
-        frame = build_frame(rng.standard_normal((48, 2)), 12)
-        rec = aggregate(frame, 1, 1, "centroid")
+        periods = periods_of(rng.standard_normal((48, 2)), 12)
+        rec = aggregate(periods, 1, 1, "centroid")
         for a in range(2):
             np.testing.assert_allclose(
-                rec[:, a], frame.unrolled()[:, a].mean(), rtol=0, atol=1e-12)
+                rec[:, a], periods[:, :, a].mean(), rtol=0, atol=1e-12)
 
     def test_piecewise_constant_within_segments(self):
         rng = np.random.default_rng(2)
-        frame = build_frame(rng.standard_normal((96, 1)), 24)
-        clusters = ward_linkage(frame.rows).cut(2)
-        profiles = represent(frame, clusters, "centroid")
+        periods = periods_of(rng.standard_normal((96, 1)), 24)
+        assignment, _ = ward_linkage(periods.reshape(4, -1)).cut(2)
+        profiles = represent(periods, assignment, "centroid")
         layout = cut_layout(profiles, segment_linkage(profiles), 5)
-        rec = reconstruct(frame, clusters, layout).reshape(4, 24)
+        rec = reconstruct(layout, assignment).reshape(4, 24)
         for p in range(4):
-            lengths = layout.lengths[clusters.assignment[p]]
+            lengths = layout.lengths[assignment[p]]
             for start, length in zip(np.cumsum(lengths) - lengths, lengths):
                 run = rec[p, start:start + length]
                 assert np.all(run == run[0])
 
     def test_shape_mismatch_rejected(self):
-        frame = build_frame(np.arange(12.0), 3)
-        clusters = ward_linkage(np.zeros((2, 1))).cut(1)
-        profiles = represent(build_frame(np.arange(6.0), 3), clusters, "centroid")
+        # an assignment to two clusters, but segments of only one representative
+        assignment, _ = ward_linkage(np.arange(4.0)).cut(2)
+        profiles = represent(periods_of(np.arange(6.0), 3), np.zeros(2, dtype=np.int64),
+                             "centroid")
         layout = cut_layout(profiles, segment_linkage(profiles), 3)
         with pytest.raises(DataError):
-            reconstruct(frame, clusters, layout)
+            reconstruct(layout, assignment)
 
 
 class TestRmseTot:
@@ -126,11 +127,11 @@ class TestDurationCurveRmse:
         base = np.sin(np.linspace(0, 2 * np.pi, 24))
         days = base[None, :] * (1 + 0.3 * rng.standard_normal((60, 1))) \
             + 0.2 * rng.uniform(-1, 1, size=(60, 24))
-        frame = build_frame(days.reshape(-1), 24)
-        original = frame.unrolled()
+        periods = periods_of(days.reshape(-1), 24)
+        original = periods.reshape(-1, 1)
         scores = {}
         for method in ("centroid", "distribution"):
-            rec = aggregate(frame, 6, 24, method)
+            rec = aggregate(periods, 6, 24, method)
             scores[method] = duration_curve_rmse(original, rec)[0]
         assert scores["distribution"] <= scores["centroid"]
 
@@ -138,16 +139,17 @@ class TestDurationCurveRmse:
 class TestReport:
     def test_fields_and_ratio(self):
         rng = np.random.default_rng(8)
-        frame = build_frame(rng.standard_normal((96, 2)), 24)
-        rec = aggregate(frame, 2, 6, "centroid")
-        report = build_report(frame.unrolled(), rec, ["a", "b"], total_steps=12)
+        periods = periods_of(rng.standard_normal((96, 2)), 24)
+        original = periods.reshape(96, 2)
+        rec = aggregate(periods, 2, 6, "centroid")
+        report = build_report(original, rec, ["a", "b"], total_steps=12)
         assert set(report) == {"rmse_tot", "chronological_rmse",
                                "duration_curve_rmse", "total_steps", "reduction_ratio"}
         assert report["total_steps"] == 12
         assert report["reduction_ratio"] == 1 - 12 / 96
         assert set(report["chronological_rmse"]) == {"a", "b"}
         assert all(v >= 0 for v in report["duration_curve_rmse"].values())
-        assert report["rmse_tot"] == rmse_tot(frame.unrolled(), rec)
+        assert report["rmse_tot"] == rmse_tot(original, rec)
 
     def test_unknown_configuration_leaves_ratio_unset(self):
         x = np.zeros((10, 1))

@@ -7,9 +7,9 @@ from hypothesis.extra.numpy import arrays
 from tsagg.errors import ConfigError
 from tsagg.hierarchy import ward_linkage
 from tsagg.representation import represent
-from tsagg.segmentation import cut_layout, segment_linkage
+from tsagg.segmentation import SegmentLayout, cut_layout, segment_linkage
 
-from helpers import build_frame, chain_partition, segment_one
+from helpers import chain_partition, periods_of, segment_one
 from reference import best_partition, chain_matrix, naive_cut, naive_ward
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
@@ -141,8 +141,9 @@ class TestChainOracle:
 class TestSegmentRepresentatives:
     @staticmethod
     def segmented(values, steps, k, n_segments):
-        frame = build_frame(values, steps)
-        profiles = represent(frame, ward_linkage(frame.rows).cut(k), "centroid")
+        periods = periods_of(values, steps)
+        assignment, _ = ward_linkage(periods.reshape(periods.shape[0], -1)).cut(k)
+        profiles = represent(periods, assignment, "centroid")
         return profiles, cut_layout(profiles, segment_linkage(profiles), n_segments)
 
     def test_eight_times_eight(self):
@@ -162,3 +163,15 @@ class TestSegmentRepresentatives:
         day = rng.standard_normal((24, 1))
         _, layout = self.segmented(np.vstack([day, day]), 24, 2, 5)
         assert layout_of(layout, 0) == layout_of(layout, 1)
+
+
+def test_equality_is_identity():
+    # on equal-content array fields a field-wise == raises instead of answering
+    lengths, values = np.array([[2, 1]]), np.zeros((1, 2, 1))
+    layout = SegmentLayout(lengths, values)
+    assert layout == layout
+    assert layout != SegmentLayout(lengths.copy(), values.copy())
+    samples = np.arange(6.0).reshape(3, 2)
+    linkage = ward_linkage(samples)
+    assert linkage == linkage
+    assert linkage != ward_linkage(samples)
