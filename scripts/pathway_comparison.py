@@ -35,11 +35,10 @@ def main():
             with out.open("w", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(["p", "s", "total_steps", "rmse", "direction"])
-                for i, state in enumerate(trace.states):
-                    direction = trace.moves[i - 1].direction if i else ""
+                for state in trace:
                     writer.writerow([state.p, state.s, state.total_steps,
-                                     f"{state.rmse:.12g}", direction])
-            first = [m.direction for m in trace.moves[:5]]
+                                     f"{state.rmse:.12g}", state.direction])
+            first = [state.direction for state in trace[1:6]]
             n_seg = sum(d == "more_segments" for d in first)
             print(f"{name:6s} {method:13s} first 5 moves: "
                   f"{n_seg} segments / {5 - n_seg} periods -> {out}")

@@ -19,7 +19,6 @@ from .metrics import (
 from .pathway import (
     ConfigEvaluator,
     PathwayState,
-    PathwayTrace,
     build_grid,
     pathway_search,
     select_config,
@@ -33,7 +32,6 @@ __all__ = [
     "DataError",
     "Linkage",
     "PathwayState",
-    "PathwayTrace",
     "SegmentLayout",
     "attribute_rmse",
     "build_frame",

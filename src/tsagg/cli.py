@@ -31,7 +31,7 @@ from .core import (
 )
 from .errors import ConfigError, DataError
 from .metrics import build_report
-from .pathway import ConfigEvaluator, PathwayTrace, pathway_search, select_config
+from .pathway import ConfigEvaluator, PathwayState, pathway_search, select_config
 from .representation import REPRESENTATION_METHODS
 from .segmentation import SegmentLayout
 
@@ -71,7 +71,8 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
         text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    # with their ends, a quoted cell that spans lines keeps its line break
+    lines = text.splitlines(keepends=True)
     reader = csv.reader(lines)
     try:
         header = next(reader)
@@ -144,19 +145,16 @@ def write_mapping(path: Path, assignment: np.ndarray) -> None:
         fh.writelines(f"{p},{c}\n" for p, c in enumerate(assignment.tolist()))
 
 
-def write_pathway(path: Path, trace: PathwayTrace) -> None:
+def write_pathway(path: Path, trace: tuple[PathwayState, ...]) -> None:
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["iteration", "p", "s", "total_steps", "rmse",
                          "direction", "ratio_periods", "ratio_segments"])
-        for i, state in enumerate(trace.states):
-            move = trace.moves[i - 1] if i > 0 else None
-            writer.writerow([
-                i, state.p, state.s, state.total_steps, _fmt(state.rmse),
-                move.direction if move else "",
-                _fmt(move.ratio_periods) if move and move.ratio_periods is not None else "",
-                _fmt(move.ratio_segments) if move and move.ratio_segments is not None else "",
-            ])
+        for i, state in enumerate(trace):
+            writer.writerow([i, state.p, state.s, state.total_steps, _fmt(state.rmse),
+                             state.direction,
+                             *("" if r is None else _fmt(r)
+                               for r in (state.ratio_periods, state.ratio_segments))])
 
 
 def _prepare(args: argparse.Namespace):
@@ -191,7 +189,7 @@ def cmd_pathway(args: argparse.Namespace) -> int:
     names, offset, scale, evaluator = _prepare(args)
     trace = pathway_search(evaluator, max_total_steps=args.budget)
     selected = (select_config(trace, args.budget)
-                if args.budget is not None else trace.final)
+                if args.budget is not None else trace[-1])
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_pathway(args.out_dir / "pathway.csv", trace)
     write_json(args.out_dir / "selected.json", {

@@ -42,11 +42,11 @@ from .errors import ConfigError, DataError
 class Linkage:
     """Deterministic merge history; cut at any cluster count it reached.
 
-    Merge m joins the clusters ids[m] = (id_a, id_b), id_a < id_b, at cost
-    costs[m] into the cluster n + m of sizes[m] samples.
+    n samples take n - 1 merges. Merge m joins the clusters
+    ids[m] = (id_a, id_b), id_a < id_b, at cost costs[m] into the cluster
+    n + m of sizes[m] samples.
     """
 
-    n_samples: int
     ids: np.ndarray
     costs: np.ndarray
     sizes: np.ndarray
@@ -59,7 +59,7 @@ class Linkage:
         cluster c's node in the merge history, its sample id for a singleton
         or n + m for the cluster born in merge m. Sizes: np.bincount(assignment).
         """
-        n = self.n_samples
+        n = self.ids.shape[0] + 1
         if not 1 <= k <= n:
             raise ConfigError(f"k={k} out of range [1, {n}]")
         n_merges = n - k
@@ -213,7 +213,7 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
     # self-merges, so any overflow rejects the samples
     try:
         with np.errstate(over="raise"):
-            return Linkage(n, *_generic_ward(samples))
+            return Linkage(*_generic_ward(samples))
     except FloatingPointError:
         raise DataError("squared distances or merge costs between the "
                         "samples overflow; rescale them") from None

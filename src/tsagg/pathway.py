@@ -13,6 +13,8 @@ medoid and distribution methods) stays eligible and simply loses to any
 descent. When one dimension is exhausted only the other is considered.
 The search stops when both are exhausted or when the total step count has
 surpassed the optional cap (the surpassing state is kept in the trace).
+The trace is a tuple of ``PathwayState``, one per visited configuration,
+each carrying the move that reached it.
 """
 
 from __future__ import annotations
@@ -35,36 +37,23 @@ MORE_SEGMENTS = "more_segments"
 
 @dataclass(frozen=True)
 class PathwayState:
-    """One evaluated configuration."""
+    """One step of the pathway: a configuration, its RMSE and the move to it.
+
+    The move is the chosen direction and both candidate descent ratios; a
+    ratio is None when that dimension was already exhausted. The first
+    state has no move: no direction and no ratios.
+    """
 
     p: int
     s: int
-    total_steps: int
     rmse: float
-
-
-@dataclass(frozen=True)
-class Move:
-    """A taken step: chosen direction plus both candidate descent ratios.
-
-    A ratio is None when that dimension was already exhausted.
-    """
-
-    direction: str
-    ratio_periods: float | None
-    ratio_segments: float | None
-
-
-@dataclass(frozen=True)
-class PathwayTrace:
-    """Visited states in order; moves[i] led from states[i] to states[i+1]."""
-
-    states: tuple[PathwayState, ...]
-    moves: tuple[Move, ...]
+    direction: str = ""
+    ratio_periods: float | None = None
+    ratio_segments: float | None = None
 
     @property
-    def final(self) -> PathwayState:
-        return self.states[-1]
+    def total_steps(self) -> int:
+        return self.p * self.s
 
 
 def build_grid(max_value: int) -> list[int]:
@@ -97,8 +86,9 @@ class ConfigEvaluator:
     segment merge order (a rank row of ``segment_linkage``) per node.
     ``prepare(counts)`` cuts at each new count, runs ``represent`` per cut on
     its new nodes, then ``segment_linkage`` once on all of them. (p, s)
-    gathers its rows from the store and is cached. Both stages treat each
-    cluster alone, members ascending, so rows are the same bytes.
+    gathers its rows from the store; ``evaluate(p, s)`` returns its RMSE as
+    a float, cached per (p, s). Both stages treat each cluster alone,
+    members ascending, so rows are the same bytes.
     """
 
     def __init__(self, periods: np.ndarray, method: str):
@@ -112,7 +102,7 @@ class ConfigEvaluator:
         self._row = np.full(2 * n_periods - 1, -1, dtype=np.int64)
         self._profiles = np.empty((0, steps, n_attrs))
         self._ranks = np.empty((0, steps - 1), dtype=np.int64)
-        self._states: dict[tuple[int, int], PathwayState] = {}
+        self._rmse: dict[tuple[int, int], float] = {}
 
     def prepare(self, counts: list[int]) -> None:
         """Cut at every new typical-period count and store the new nodes."""
@@ -152,20 +142,20 @@ class ConfigEvaluator:
         layout = cut_layout(self._profiles[rows], self._ranks[rows], s)
         return assignment, layout, reconstruct(layout, assignment)
 
-    def evaluate(self, p: int, s: int) -> PathwayState:
+    def evaluate(self, p: int, s: int) -> float:
+        """RMSE_tot of (p, s) against the normalized periods, cached."""
         key = (p, s)
-        if key not in self._states:
+        if key not in self._rmse:
             _, _, rec = self.reconstruction(p, s)
-            self._states[key] = PathwayState(
-                p=p, s=s, total_steps=p * s,
-                rmse=rmse_tot(self._original, rec))
-        return self._states[key]
+            self._rmse[key] = rmse_tot(self._original, rec)
+        return self._rmse[key]
 
 
 def pathway_search(evaluator: ConfigEvaluator,
-                   max_total_steps: int | None = None) -> PathwayTrace:
+                   max_total_steps: int | None = None) -> tuple[PathwayState, ...]:
     """Trace the steepest-descent pathway from (1, 1) toward full resolution.
 
+    Returns the visited states in order, each with the move that reached it.
     One ``segment_linkage`` call first links the nodes of every p it can
     reach: the whole grid when unbounded, otherwise the grid up to
     max_total_steps and the next count, a candidate of a state within it.
@@ -177,11 +167,10 @@ def pathway_search(evaluator: ConfigEvaluator,
         grid_p[:bisect.bisect_right(grid_p, max_total_steps) + 1])
     evaluator.prepare(reachable)
     ip = i_s = 0
-    states = [evaluator.evaluate(1, 1)]
-    moves = []
+    trace = [PathwayState(1, 1, evaluator.evaluate(1, 1))]
     while True:
-        current = states[-1]
-        if max_total_steps is not None and current.total_steps > max_total_steps:
+        p, s, rmse = trace[-1].p, trace[-1].s, trace[-1].rmse
+        if max_total_steps is not None and p * s > max_total_steps:
             break
         can_p = ip + 1 < len(grid_p)
         can_s = i_s + 1 < len(grid_s)
@@ -189,30 +178,25 @@ def pathway_search(evaluator: ConfigEvaluator,
             break
         ratio_p = ratio_s = None
         if can_p:
-            cand_p = evaluator.evaluate(grid_p[ip + 1], current.s)
-            ratio_p = (cand_p.rmse - current.rmse) / (
-                current.s * (grid_p[ip + 1] - current.p))
+            rmse_p = evaluator.evaluate(grid_p[ip + 1], s)
+            ratio_p = (rmse_p - rmse) / (s * (grid_p[ip + 1] - p))
         if can_s:
-            cand_s = evaluator.evaluate(current.p, grid_s[i_s + 1])
-            ratio_s = (cand_s.rmse - current.rmse) / (
-                current.p * (grid_s[i_s + 1] - current.s))
+            rmse_s = evaluator.evaluate(p, grid_s[i_s + 1])
+            ratio_s = (rmse_s - rmse) / (p * (grid_s[i_s + 1] - s))
         # ties go to segments; a lone candidate wins by default
         if can_s and (not can_p or ratio_s <= ratio_p):
-            states.append(cand_s)
-            moves.append(Move(MORE_SEGMENTS, ratio_p, ratio_s))
-            i_s += 1
+            i_s, direction, rmse = i_s + 1, MORE_SEGMENTS, rmse_s
         else:
-            states.append(cand_p)
-            moves.append(Move(MORE_PERIODS, ratio_p, ratio_s))
-            ip += 1
-    return PathwayTrace(states=tuple(states), moves=tuple(moves))
+            ip, direction, rmse = ip + 1, MORE_PERIODS, rmse_p
+        trace.append(PathwayState(grid_p[ip], grid_s[i_s], rmse, direction, ratio_p, ratio_s))
+    return tuple(trace)
 
 
-def select_config(trace: PathwayTrace, budget: int) -> PathwayState:
+def select_config(trace: tuple[PathwayState, ...], budget: int) -> PathwayState:
     """Last traced state whose total step count fits the budget."""
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
-    chosen = [state for state in trace.states if state.total_steps <= budget]
+    chosen = [state for state in trace if state.total_steps <= budget]
     if not chosen:
         raise ConfigError("trace holds no state within the budget")
     return chosen[-1]

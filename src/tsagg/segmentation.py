@@ -50,10 +50,6 @@ class SegmentLayout:
         if np.any(self.lengths < 1) or np.any(totals != totals[0]):
             raise DataError("segments do not tile the period")
 
-    @property
-    def n_segments(self) -> int:
-        return self.lengths.shape[1]
-
 
 def _sq_norms(diff):
     """Row-wise ``diff @ diff`` by the oracle's BLAS dot; an elementwise sum rounds apart ties."""

@@ -267,14 +267,16 @@ def representatives(rows, assignment, steps, method):
 def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     """Parse a time-series CSV into values and attribute names, cell by cell.
 
-    The CLI's parser before its ``np.loadtxt`` fast path, kept verbatim:
-    ``csv`` rows and ``float()`` per cell. Errors name the offending line.
+    The CLI's parser before its ``np.loadtxt`` fast path: ``csv`` rows and
+    ``float()`` per cell. Errors name the offending line, a record's last
+    line if it spans lines. Lines keep their ends, so a quoted cell that
+    spans lines keeps its line break.
     """
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(text.splitlines(keepends=True))
     try:
         header = next(reader)
     except StopIteration:
@@ -284,8 +286,9 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     names = header[1:] if has_timestamp else header
     if not names:
         raise DataError(f"{path}: header declares no attribute columns (line 1)")
-    rows = []
-    for line_no, row in enumerate(reader, start=2):
+    rows, line_nos = [], []
+    for row in reader:
+        line_no = reader.line_num
         if not row:
             raise DataError(f"{path}: blank line {line_no}")
         if len(row) != len(header):
@@ -296,6 +299,7 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise DataError(f"{path}: line {line_no}: {exc}") from exc
+        line_nos.append(line_no)
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.array(rows)
@@ -303,5 +307,5 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     if bad.size:
         t, a = bad[0]
         raise DataError(
-            f"{path}: line {t + 2}: non-finite value in column {names[a]!r}")
+            f"{path}: line {line_nos[t]}: non-finite value in column {names[a]!r}")
     return values, names

@@ -169,16 +169,16 @@ def test_time_step_bookkeeping(tmp_path):
 
 def test_pathway_direction_reproduction(solar_run):
     _, _, solar_trace, solar_elapsed = solar_run
-    solar_dirs = [m.direction for m in solar_trace.moves]
+    solar_dirs = [state.direction for state in solar_trace[1:]]
     solar_first3 = all(d == MORE_SEGMENTS for d in solar_dirs[:3])
     segments_bounded = all(state.s <= 12
-                           for state in solar_trace.states if state.p < 8)
+                           for state in solar_trace if state.p < 8)
 
     start = time.monotonic()
     wind_periods = periods_of(wind_profile(365, seed=0), 24)
     wind_trace = pathway_search(ConfigEvaluator(wind_periods, "distribution"))
     wind_elapsed = time.monotonic() - start
-    wind_dirs = [m.direction for m in wind_trace.moves]
+    wind_dirs = [state.direction for state in wind_trace[1:]]
     wind_first3 = all(d == MORE_PERIODS for d in wind_dirs[:3])
 
     time_ok = solar_elapsed < 60.0 and wind_elapsed < 60.0
@@ -195,7 +195,7 @@ def test_pathway_dominance(solar_run):
     for budget in (48, 96, 192):
         selected = select_config(trace, budget)
         hourly = evaluator.evaluate(budget // 24, 24)
-        dominated[budget] = selected.rmse <= hourly.rmse
+        dominated[budget] = selected.rmse <= hourly
     report("pathway-dominance", all(dominated.values()),
            ", ".join(f"budget {b}: {'<=' if ok else '>'} hourly"
                      for b, ok in dominated.items()))

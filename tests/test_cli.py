@@ -383,6 +383,7 @@ class TestReadCsv:
     @example(b"a\n")  # no data line
     @example(b'a,b\n1,"1.5"\n')  # quoted cell
     @example(b'timestamp,a\n"t,1\n2",5\n')  # quoted field over two lines: one row
+    @example(b'a\n"1\n2"\n3\n')  # quoted value cell over two lines: one bad cell
     @example(b"a,b\n1\n")  # one field short
     @example(b"a,b\n1,2,3\n")  # one field long
     @example(b"a\n1\n\n2\n")  # blank line in a one-column file
@@ -407,6 +408,15 @@ class TestReadCsv:
         with pytest.raises(DataError) as info:
             read_csv(path)
         assert str(info.value) == f"{path}: line 4: {message}"
+
+    def test_value_cell_over_two_lines_keeps_its_line_break(self, tmp_path):
+        # the cell is "1\n2", not 12
+        path = tmp_path / "quoted.csv"
+        path.write_text('a\n"1\n2"\n3\n', encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            read_csv(path)
+        assert str(info.value) == (
+            f"{path}: line 3: could not convert string to float: '1\\n2'")
 
     def test_benchmark_style_file_takes_fast_path(self, tmp_path, monkeypatch):
         # timestamps and 10 significant digits, as the benchmark writes them

@@ -1,8 +1,11 @@
 """Golden digests: the CLI's artifacts keep their exact bytes.
 
 Every (input, representation, normalization) case runs ``aggregate`` at
-(4, 6) and ``pathway --budget 40`` in process, and the sha256 of each
-artifact must equal the one in ``golden_digests.json``. The inputs:
+(4, 6), ``pathway --budget 40`` and an unbounded ``pathway`` in process,
+and the sha256 of each artifact must equal the one in
+``golden_digests.json``. The unbounded search runs until both dimensions
+are exhausted, so its ``pathway.csv`` holds the rows with one empty ratio
+cell. The inputs:
 
 - ``synthetic``: 60 days x 3 attributes of the seeded solar, wind and load
   profiles;
@@ -34,6 +37,7 @@ NORMALIZATIONS = ("minmax", "znorm")
 COMMANDS = {
     "aggregate": ["aggregate", "--typical-periods", "4", "--segments", "6"],
     "pathway": ["pathway", "--budget", "40"],
+    "pathway-unbounded": ["pathway"],
 }
 
 

@@ -13,9 +13,7 @@ from tsagg.pathway import (
     MORE_PERIODS,
     MORE_SEGMENTS,
     ConfigEvaluator,
-    Move,
     PathwayState,
-    PathwayTrace,
     build_grid,
     pathway_search,
     select_config,
@@ -60,15 +58,15 @@ class TestEvaluateConfig:
     def test_identity_is_zero(self):
         periods = small_periods()
         for method in ("centroid", "medoid", "distribution"):
-            state = ConfigEvaluator(periods, method).evaluate(16, 12)
-            assert state.rmse == 0.0
+            rmse = ConfigEvaluator(periods, method).evaluate(16, 12)
+            assert rmse == 0.0
 
     def test_coarsest_centroid_matches_dispersion(self):
         periods = small_periods(seed=1, n_attrs=2)
-        state = ConfigEvaluator(periods, "centroid").evaluate(1, 1)
+        rmse = ConfigEvaluator(periods, "centroid").evaluate(1, 1)
         x = periods.reshape(-1, 2)
         expected = np.sqrt(np.mean((x - x.mean(axis=0)) ** 2))
-        assert abs(state.rmse - expected) < 1e-12
+        assert abs(rmse - expected) < 1e-12
 
     def test_cached_result_is_identical(self):
         evaluator = ConfigEvaluator(small_periods(seed=2), "distribution")
@@ -129,8 +127,8 @@ class TestNodeCache:
             assert_array_equal(got_layout.lengths, layout.lengths)
             assert_array_equal(got_layout.values, layout.values)
             assert_array_equal(rec, expected)
-            assert evaluator.evaluate(p, s).rmse == rmse_tot(periods.reshape(-1, n_attrs),
-                                                             expected)
+            assert evaluator.evaluate(p, s) == rmse_tot(periods.reshape(-1, n_attrs),
+                                                        expected)
 
     def test_segment_linkage_sees_each_node_once(self, monkeypatch):
         periods = small_periods(seed=15, n_periods=60, steps=24, n_attrs=2)
@@ -144,7 +142,7 @@ class TestNodeCache:
         trace = search(periods, "distribution")
         # an unbounded search ends at full resolution, so it cut at every grid
         # p, and it prepared all of them before its first evaluation
-        assert trace.final.p == 60
+        assert trace[-1].p == 60
         assert len(batches) == 1
         grid = build_grid(60)
         merges = merge_list(ward_linkage(periods.reshape(60, -1)))
@@ -185,42 +183,42 @@ class TestNodeCache:
 class TestPathwaySearch:
     def test_total_steps_strictly_increase(self):
         trace = search(small_periods(seed=3), "centroid")
-        totals = [s.total_steps for s in trace.states]
+        totals = [s.total_steps for s in trace]
         assert all(a < b for a, b in zip(totals, totals[1:]))
 
     def test_unbounded_ends_at_full_resolution(self):
         periods = small_periods(seed=4)
         for method in ("centroid", "medoid", "distribution"):
             trace = search(periods, method)
-            assert trace.final.p == 16
-            assert trace.final.s == 12
-            assert trace.final.rmse == 0.0
+            assert trace[-1].p == 16
+            assert trace[-1].s == 12
+            assert trace[-1].rmse == 0.0
 
     def test_chosen_direction_has_smaller_ratio(self):
         trace = search(small_periods(seed=5, n_attrs=2), "distribution")
-        for move in trace.moves:
-            if move.ratio_periods is None or move.ratio_segments is None:
+        for state in trace[1:]:
+            if state.ratio_periods is None or state.ratio_segments is None:
                 continue
-            chosen = (move.ratio_segments if move.direction == MORE_SEGMENTS
-                      else move.ratio_periods)
-            other = (move.ratio_periods if move.direction == MORE_SEGMENTS
-                     else move.ratio_segments)
+            chosen = (state.ratio_segments if state.direction == MORE_SEGMENTS
+                      else state.ratio_periods)
+            other = (state.ratio_periods if state.direction == MORE_SEGMENTS
+                     else state.ratio_segments)
             assert chosen <= other
 
     def test_centroid_rmse_non_increasing(self):
         trace = search(small_periods(seed=6), "centroid")
-        rmses = [s.rmse for s in trace.states]
+        rmses = [s.rmse for s in trace]
         assert all(b <= a + 1e-9 for a, b in zip(rmses, rmses[1:]))
 
     def test_cap_of_one_stops_after_first_move(self):
         trace = search(small_periods(seed=7), "centroid", max_total_steps=1)
-        assert trace.states[0].p == 1 and trace.states[0].s == 1
-        assert len(trace.states) <= 2
+        assert trace[0].p == 1 and trace[0].s == 1
+        assert len(trace) <= 2
 
     def test_cap_keeps_surpassing_state(self):
         trace = search(small_periods(seed=8), "centroid", max_total_steps=20)
-        totals = [s.total_steps for s in trace.states]
-        assert totals[-1] > 20 or (trace.final.p == 16 and trace.final.s == 12)
+        totals = [s.total_steps for s in trace]
+        assert totals[-1] > 20 or (trace[-1].p == 16 and trace[-1].s == 12)
         assert all(t <= 20 for t in totals[:-1])
 
     def test_intraday_structure_prefers_segments_first(self):
@@ -229,7 +227,7 @@ class TestPathwaySearch:
         shape = np.sin(np.linspace(0, np.pi, 12)) ** 2
         days = shape[None, :] * (1 + 0.02 * rng.standard_normal((30, 1)))
         trace = search(periods_of(days.reshape(-1), 12), "centroid")
-        assert trace.moves[0].direction == MORE_SEGMENTS
+        assert trace[1].direction == MORE_SEGMENTS
 
     def test_aperiodic_structure_prefers_periods_first(self):
         # day-level steps, flat within each day
@@ -238,13 +236,13 @@ class TestPathwaySearch:
         days = np.repeat(levels[:, None], 12, axis=1)
         days += 0.01 * rng.standard_normal(days.shape)
         trace = search(periods_of(days.reshape(-1), 12), "centroid")
-        assert trace.moves[0].direction == MORE_PERIODS
+        assert trace[1].direction == MORE_PERIODS
 
 
 class TestSelectConfig:
     def test_budget_covers_final(self):
         trace = search(small_periods(seed=11), "centroid")
-        assert select_config(trace, 10 ** 9) == trace.final
+        assert select_config(trace, 10 ** 9) == trace[-1]
 
     def test_budget_one_returns_start(self):
         trace = search(small_periods(seed=12), "centroid")
@@ -256,18 +254,16 @@ class TestSelectConfig:
         budget = 24
         state = select_config(trace, budget)
         assert state.total_steps <= budget
-        after = trace.states.index(state) + 1
-        if after < len(trace.states):
-            assert trace.states[after].total_steps > budget
+        after = trace.index(state) + 1
+        if after < len(trace):
+            assert trace[after].total_steps > budget
 
     def test_exact_budget_hit(self):
         # a trace visiting 12 periods x 8 segments fills a 96-step budget exactly
-        states = [PathwayState(1, 1, 1, 0.5), PathwayState(1, 8, 8, 0.3),
-                  PathwayState(12, 8, 96, 0.1), PathwayState(12, 16, 192, 0.05)]
-        moves = [Move(MORE_SEGMENTS, 0.1, -0.2), Move(MORE_PERIODS, -0.3, -0.1),
-                 Move(MORE_SEGMENTS, None, -0.05)]
-        trace = PathwayTrace(states=tuple(states), moves=tuple(moves))
-        assert select_config(trace, 96) == states[2]
+        trace = (PathwayState(1, 1, 0.5), PathwayState(1, 8, 0.3, MORE_SEGMENTS, 0.1, -0.2),
+                 PathwayState(12, 8, 0.1, MORE_PERIODS, -0.3, -0.1),
+                 PathwayState(12, 16, 0.05, MORE_SEGMENTS, None, -0.05))
+        assert select_config(trace, 96) == trace[2]
 
     def test_invalid_budget(self):
         trace = search(small_periods(seed=14), "centroid")
