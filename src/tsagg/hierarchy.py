@@ -21,8 +21,16 @@ bytes; a run that would not fit in available memory fails with a ConfigError
 first. Each row caches its nearest cluster among larger ids; a merge scans
 the n cached entries and rescans only the rows whose neighbour it merged.
 The time is O(n^2) when few rows share a neighbour and O(n^3) at worst.
-The distance matrix is filled on every CPU the process may use, with the
-same bits whatever their number. The same kernel takes a batch of
+
+The distance kernel leaves out the columns that are constant in every row,
+which add +0.0 to each sum, and sums the other columns' squared
+differences one column after the other, the order of scipy's ``cdist``.
+It fills the matrix in blocks of rows and, for the linkage, finds each
+row's first neighbour in the same pass, so the merge loop starts from its
+cached neighbours without another scan. A call of at least 2 *
+THREAD_MIN_DIFFERENCES differences (about 480 periods of 72 values) runs
+on every CPU the process may use, a smaller one on one CPU; the bits are
+the same whatever their number. The same kernel takes a batch of
 equal-sized groups, one matrix per group; the medoid representative sums
 its rows.
 """
@@ -80,9 +88,12 @@ class Linkage:
         return label[inverse], roots[by_appearance]
 
 
-# the fewest differences a worker takes: timed on two CPUs, a second worker
-# paid off from about 120 rows of 72 columns, 2 * 2^18 differences
-THREAD_MIN_DIFFERENCES = 1 << 18
+# the fewest differences a worker takes. Timed on a shared two-CPU VM
+# (medians of 30-40 alternating calls, 72 random columns), a second worker
+# lost at 300 rows (7.0 -> 7.4 ms), broke even near 500 and paid off from
+# about 700 (24.6 -> 21.5 ms; 1,095 rows: 49 -> 36 ms), about 2 * 2^22
+# differences; when the other CPU was busy it gained nothing below 1,460
+THREAD_MIN_DIFFERENCES = 1 << 22
 
 
 def sq_distances(samples: np.ndarray) -> np.ndarray:
@@ -92,46 +103,99 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
     matrix, every entry the expression of a call on that group alone.
     Each entry sums the squared attribute differences in column order, the
     order of scipy's ``cdist(..., "sqeuclidean")``, so the two agree bit for
-    bit: the differences are laid out column-major and reduced over that
-    outer axis, which numpy accumulates one column after the other. Rows go
-    in blocks; each block fills its part of the upper triangle, and the
-    lower triangle is its mirror image.
+    bit. A column that holds one finite value in all rows of each group
+    (compared with ``==``, so 0.0 and -0.0 are one value) is left out: it
+    adds +0.0 to each sum, and a sum of squares, never -0.0, is unchanged
+    by that. The linkage calls the same kernel, which then also returns each
+    row's first nearest neighbour among the larger indices. A call of fewer
+    than 2 * THREAD_MIN_DIFFERENCES differences runs on one CPU. The
+    kernel is described at ``_fill_distances``.
+    """
+    batched = samples.ndim == 3
+    out, _ = _fill_distances(samples if batched else samples[None], nearest=False)
+    return out if batched else out[0]
+
+
+def _fill_distances(samples, nearest):
+    """The (g, n, n) distances of ``sq_distances`` for (g, n, D) samples.
+
+    Rows go in blocks of 64, each block across all groups. A block fills
+    its part of the upper triangle, and the lower triangle is its mirror
+    image. A block of at most 2^17 differences takes them all in one numpy
+    call, squares them and adds them up over the column axis, which numpy
+    accumulates one column after the other; the medoid's many small batched
+    calls are faster that way. A larger block goes column by column: it
+    squares the column's differences into a buffer and adds that to its
+    sums, so each entry again accumulates in column order, the buffers stay
+    small, and every numpy call releases the GIL, so the workers overlap.
+    Numpy's iterator would copy a broadcast operand through its buffer
+    whenever a block row is shorter than that buffer, which makes the
+    subtraction several times slower; there the kernel shrinks the buffer
+    to the smallest size numpy takes.
 
     The W workers are the CPUs the process may use, at most one per block
     and one per THREAD_MIN_DIFFERENCES differences the call computes, and
-    at least one.
-    Worker w takes blocks w, w + W, ..., as the early blocks are the widest.
-    Each block holds about 128k / W differences, freed before the worker's
-    next block, so the bytes in flight do not grow with W. Every entry is
-    the same expression whichever worker computes it, so the bits do not
-    depend on W. Helper threads run under the caller's ``np.geterr()``, and
-    their exceptions are raised in the caller.
+    at least one. Worker w takes blocks w, w + W, ..., as the early blocks
+    are the widest, into buffers of its own. Every entry is the same
+    expression whichever worker computes it, so the bits do not depend on
+    W. Helper threads run under the caller's ``np.geterr()``, and their
+    exceptions are raised in the caller.
+
+    With ``nearest`` and one group, each block also finds its rows' first
+    neighbours: the (distance, index) of the first minimum among larger
+    indices, with an infinite distance for the last row. Returns the
+    distances and those two arrays, or None for them.
     """
-    batched = samples.ndim == 3
-    samples = samples if batched else samples[None]
-    g, n, n_cols = samples.shape
-    columns = np.ascontiguousarray(samples.transpose(2, 0, 1))
+    g, n, _ = samples.shape
+    keep = ~((samples == samples[:, :1]).all(axis=(0, 1))
+             & np.isfinite(samples[:, 0]).all(axis=0))
+    keep[0] |= not keep.any()
+    columns = np.ascontiguousarray(samples[:, :, keep].transpose(2, 0, 1))
+    n_cols = columns.shape[0]
     out = np.empty((g, n, n))
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    workers = max(1, min(cpus, n_cols * g * n * (n + 1) // 2 // THREAD_MIN_DIFFERENCES))
-    block = max(1, 131072 // (n_cols * g * n * workers))
-    starts = range(0, n, block)
-    workers = min(workers, len(starts))
+    rows = min(64, n)
+    starts = range(0, n, rows)
+    workers = max(1, min(cpus, len(starts),
+                         n_cols * g * n * (n + 1) // 2 // THREAD_MIN_DIFFERENCES))
+    if nearest:
+        near_d, near_r = np.empty(n), np.empty(n, dtype=np.int64)
+        # a row's own index and those below it are no candidates
+        below = np.tri(rows, dtype=bool)
     # a new thread starts with numpy's default error settings, and threading
     # only prints an uncaught exception, which would leave blocks unfilled
     settings, errors = np.geterr(), []
 
     def fill(worker):
         try:
+            # the first block is the widest: a worker needs a buffer for
+            # one column's squares only if that block goes column by column
+            sums = np.empty(g * rows * n)
+            squares = np.empty(g * rows * n) if n_cols * g * rows * n > 1 << 17 else None
             with np.errstate(**settings):
                 for i in starts[worker::workers]:
-                    diff = columns[:, :, i:i + block, None] - columns[:, :, None, i:]
-                    diff *= diff
-                    acc = diff.sum(axis=0)
-                    del diff
-                    out[:, i:i + block, i:] = acc
-                    out[:, i:, i:i + block] = acc.transpose(0, 2, 1)
+                    b = min(rows, n - i)
+                    size, shape = g * b * (n - i), (g, b, n - i)
+                    acc = sums[:size].reshape(shape)
+                    if n_cols * size <= 1 << 17:
+                        # the reduction adds the columns in order; it pairs
+                        # terms only in a one-entry block, a diagonal zero
+                        work = np.empty((n_cols,) + shape)
+                        np.subtract(columns[:, :, i:i + b, None], columns[:, :, None, i:],
+                                    out=work)
+                        np.multiply(work, work, out=work)
+                        np.add.reduce(work, axis=0, out=acc)
+                    else:
+                        _column_by_column(columns, i, acc, squares[:size].reshape(shape))
+                    out[:, i:i + b, i:] = acc
+                    out[:, i:, i:i + b] = acc.transpose(0, 2, 1)
+                    if nearest:
+                        acc = acc[0]
+                        acc[:, :b][below[:b, :b]] = np.inf
+                        k = acc.argmin(axis=1)
+                        near_r[i:i + b] = i + k
+                        near_d[i:i + b] = acc[np.arange(b), k]
         except BaseException as exc:  # raised in the caller below
             errors.append(exc)
 
@@ -143,7 +207,22 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
         thread.join()
     if errors:
         raise errors[0]
-    return out if batched else out[0]
+    return out, ((near_d, near_r) if nearest else None)
+
+
+def _column_by_column(columns, i, acc, diff):
+    """Sum the squared column differences of rows i.. into acc, (g, b, m)."""
+    b = acc.shape[1]
+    buffer_size = np.setbufsize(16)
+    try:
+        np.subtract(columns[0, :, i:i + b, None], columns[0, :, None, i:], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for column in columns[1:]:
+            np.subtract(column[:, i:i + b, None], column[:, None, i:], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(acc, diff, out=acc)
+    finally:
+        np.setbufsize(buffer_size)
 
 
 MEMINFO = "/proc/meminfo"
@@ -167,27 +246,6 @@ def available_memory() -> int | None:
         return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
-
-
-def _nearest(dist, rows, order, row_id):
-    """Each row's lexicographically smallest (distance, id) among larger ids.
-
-    ``order`` lists the active rows in increasing id order, so the first
-    minimum of a row is the one with the smallest id. Rows go in blocks of
-    about 128k cells. A row with no larger id gets an infinite distance.
-    """
-    col_id = row_id[order]
-    near_d = np.empty(rows.size)
-    near_r = np.empty(rows.size, dtype=np.int64)
-    block = max(1, 131072 // order.size)
-    for lo in range(0, rows.size, block):
-        r = rows[lo:lo + block]
-        sub = dist[r[:, None], order]
-        sub[col_id <= row_id[r, None]] = np.inf
-        k = sub.argmin(axis=1)
-        near_d[lo:lo + block] = sub[np.arange(r.size), k]
-        near_r[lo:lo + block] = order[k]
-    return near_d, near_r
 
 
 def ward_linkage(samples: np.ndarray) -> Linkage:
@@ -225,11 +283,11 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # one row per active cluster; the cluster born in a merge takes over
     # the row of id_a. Per row: its cluster id, size and cached neighbour,
     # the (distance, row) of the smallest (distance, id) among larger ids.
-    dist = sq_distances(samples)
+    dist, (near_d, near_r) = _fill_distances(samples[None], nearest=True)
+    dist = dist[0]
     row_id = np.arange(n)
     size = np.ones(n)
     order = np.arange(n)  # active rows in increasing id order
-    near_d, near_r = _nearest(dist, order, order, row_id)
 
     ids = np.empty((n - 1, 2), dtype=np.int64)
     costs, sizes = np.empty(n - 1), np.empty(n - 1, dtype=np.int64)
@@ -258,12 +316,20 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         neighbour = near_r[order]
         lost = (neighbour == i) | (neighbour == j)
         closer = new_d < near_d[order]
-        near_d[order[closer]] = new_d[closer]
-        near_r[order[closer]] = i
+        nearer = order[closer]
+        near_d[nearer] = new_d[closer]
+        near_r[nearer] = i
         rescan = order[lost]
         order = np.concatenate((order, [i]))
         near_d[i] = np.inf
         if rescan.size:
-            near_d[rescan], near_r[rescan] = _nearest(dist, rescan, order, row_id)
+            # each rescanned row's candidates, the larger ids, end ``order``
+            # and include the new cluster; the first minimum is the
+            # smallest id
+            starts = np.searchsorted(row_id[order], row_id[rescan], side="right")
+            for r, start in zip(rescan.tolist(), starts.tolist()):
+                after = order[start:]
+                row = dist[r].take(after)
+                first = row.argmin()
+                near_d[r], near_r[r] = row[first], after[first]
     return ids, costs, sizes
-

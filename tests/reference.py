@@ -205,6 +205,23 @@ def sq_distance_matrix(points):
     return d
 
 
+def first_neighbours(d):
+    """Per row of a distance matrix, its first minimum among larger indices.
+
+    Returns (distance, index) lists; the last row has no larger index and
+    gets (inf, None).
+    """
+    dists, indices = [], []
+    for r in range(len(d)):
+        best, best_c = np.inf, None
+        for c in range(r + 1, len(d)):
+            if d[r][c] < best:
+                best, best_c = d[r][c], c
+        dists.append(best)
+        indices.append(best_c)
+    return dists, indices
+
+
 def distribution_group_means(member_profiles):
     """Grouped duration curve of one cluster, one attribute: (steps,).
 

@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -27,6 +28,7 @@ from reference import (
     best_partition,
     chain_matrix,
     dense_ward,
+    first_neighbours,
     naive_cut,
     naive_nodes,
     naive_ward,
@@ -99,12 +101,14 @@ class TestWardExamples:
                 ward_linkage([[0.0], [1e154], [1.0]])
 
     def test_overflow_in_a_helper_block_rejected(self, monkeypatch):
-        # with 2 workers, blocks hold 4 rows: rows 4-7 are block 1, the
-        # helper's, and only the pair (5, 150) overflows
+        # 500 rows of 72 columns take 2 workers, and blocks hold 64 rows:
+        # rows 64-127 are block 1, the helper's, and only the pair (70, 300)
+        # overflows
         use_cpus(monkeypatch, 2)
-        x = np.random.default_rng(14).standard_normal((200, 72))
-        x[5, 0], x[150, 0] = 1e154, -1e154
+        x = np.random.default_rng(14).standard_normal((500, 72))
+        x[70, 0], x[300, 0] = 1e154, -1e154
         threads = threading.active_count()
+        started = record_threads(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # the merge costs overflow too, so the kernel is checked alone
@@ -112,6 +116,7 @@ class TestWardExamples:
                 sq_distances(x)
             with pytest.raises(DataError, match="overflow"):
                 ward_linkage(x)
+        assert len(started) == 2  # one helper per call
         assert threading.active_count() == threads
 
 
@@ -365,7 +370,8 @@ class TestSqDistances:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
         started = record_threads(monkeypatch)
-        x = np.random.default_rng(13).standard_normal((200, 72))
+        # differences for 3 workers, in 10 blocks
+        x = np.random.default_rng(13).standard_normal((600, 72))
         assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()
         assert len(started) == (cpu_count or 1) - 1
 
@@ -395,3 +401,87 @@ class TestSqDistances:
             for group, matrix in zip(x, got):
                 assert matrix.tobytes() == sq_distances(group).tobytes()
                 assert matrix.tobytes() == sq_distance_matrix(group).tobytes()
+
+
+def constant_columns(kind):
+    """150 rows of 8 columns, some of them constant; "nearly" is constant
+    but for one row, so dropping it would change the distances."""
+    x = np.random.default_rng(17).standard_normal((150, 8))
+    if kind in ("first", "middle", "last"):
+        x[:, {"first": 0, "middle": 4, "last": -1}[kind]] = 2.5
+    elif kind == "all":
+        x[:] = x[0]
+    elif kind == "signed-zero":
+        x[:, 3] = 0.0
+        x[::3, 3] = -0.0
+    elif kind == "one-varying":
+        x[:, 1:] = 1.5
+    elif kind == "nearly":
+        x[:, 2] = 1.0
+        x[77, 2] = 3.0
+        x[:, 5] = 0.0
+    return x
+
+
+class TestConstantColumns:
+    """Dropping the constant columns keeps every bit, on 1, 2 and 3 workers."""
+
+    @pytest.fixture(autouse=True)
+    def every_call_threads(self, monkeypatch):
+        # 150 rows make 3 blocks; each may go to its own worker
+        monkeypatch.setattr(hierarchy, "THREAD_MIN_DIFFERENCES", 1)
+
+    @pytest.mark.parametrize("kind", ["first", "middle", "last", "all", "signed-zero",
+                                      "one-varying", "nearly"])
+    def test_matches_reference(self, kind, monkeypatch):
+        x = constant_columns(kind)
+        expected = sq_distance_matrix(x)
+        for _ in each_worker_count(monkeypatch):
+            assert sq_distances(x).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", ["first", "all", "signed-zero", "nearly"])
+    def test_matches_cdist(self, kind, monkeypatch):
+        cdist = pytest.importorskip("scipy.spatial.distance").cdist
+        x = constant_columns(kind)
+        expected = cdist(x, x, "sqeuclidean")
+        for _ in each_worker_count(monkeypatch):
+            assert sq_distances(x).tobytes() == expected.tobytes()
+
+    def test_batched_groups(self, monkeypatch):
+        # column 0 is constant in every group, with a value per group;
+        # column 1 is the same in all groups; column 2 varies in group 1 only
+        x = np.random.default_rng(18).standard_normal((3, 140, 5))
+        x[:, :, 0] = [[1.0], [-2.0], [0.5]]
+        x[:, :, 1] = 0.25
+        x[[0, 2], :, 2] = 4.0
+        for _ in each_worker_count(monkeypatch):
+            for group, matrix in zip(x, sq_distances(x)):
+                assert matrix.tobytes() == sq_distance_matrix(group).tobytes()
+
+
+def grid_with_repeats(n_rows, seed):
+    """n_rows integer 0..2 rows of 3 columns, drawn from 20 with repeats."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 3, (20, 3)).astype(np.float64)
+    return pool[rng.integers(0, 20, n_rows)]
+
+
+class TestFirstNeighbours:
+    """The neighbours the kernel hands the linkage keep the tie rule."""
+
+    @pytest.mark.parametrize("rows", [tie_heavy_sixty(), grid_with_repeats(200, 19),
+                                      grid_with_repeats(150, 20)],
+                             ids=["tie-heavy-sixty", "grid-200", "grid-150"])
+    def test_first_minimum_among_larger_indices(self, rows, monkeypatch):
+        monkeypatch.setattr(hierarchy, "THREAD_MIN_DIFFERENCES", 1)
+        want_d, want_r = first_neighbours(sq_distance_matrix(rows))
+        # the workers fill one pair of neighbour arrays; switch threads often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in each_worker_count(monkeypatch):
+                _, (near_d, near_r) = hierarchy._fill_distances(rows[None], nearest=True)
+                assert near_d.tolist() == want_d
+                assert near_r[:-1].tolist() == want_r[:-1]
+        finally:
+            sys.setswitchinterval(interval)
