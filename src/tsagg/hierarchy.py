@@ -213,11 +213,10 @@ def _fill_distances(samples, nearest):
 def _column_by_column(columns, i, acc, diff):
     """Sum the squared column differences of rows i.. into acc, (g, b, m)."""
     b = acc.shape[1]
+    acc.fill(0.0)
     buffer_size = np.setbufsize(16)
     try:
-        np.subtract(columns[0, :, i:i + b, None], columns[0, :, None, i:], out=acc)
-        np.multiply(acc, acc, out=acc)
-        for column in columns[1:]:
+        for column in columns:
             np.subtract(column[:, i:i + b, None], column[:, None, i:], out=diff)
             np.multiply(diff, diff, out=diff)
             np.add(acc, diff, out=acc)
