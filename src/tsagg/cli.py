@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import sys
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +60,12 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
 
     Plain files take one ``np.loadtxt`` call, whose C parser rounds as
     ``float()`` does. The rest go cell by cell through ``csv`` and
-    ``float()``: files with no data line, with a ``"``, with a line whose
-    comma count differs from the header's or a blank or whitespace-only
-    line (``loadtxt`` would skip it), and files ``loadtxt`` rejects, such as
-    ``1_0`` or non-ASCII digits. Errors name the file, and the offending
-    line where there is one: a record's last line, if it spans lines.
+    ``float()``: files with no data line, with a ``"``, whose data lines
+    hold other than the header's comma count each in total, with a blank or
+    whitespace-only line (``loadtxt`` would skip it), and files ``loadtxt``
+    rejects, such as a line with too few fields, ``1_0`` or non-ASCII
+    digits. Errors name the file, and the offending line where there is
+    one: a record's last line, if it spans lines.
     """
     try:
         text = path.read_text(encoding="utf-8-sig")
@@ -84,8 +84,10 @@ def read_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     if not names:
         raise DataError(f"{path}: header declares no attribute columns (line 1)")
     data, values, line_nos = lines[1:], None, None
+    # with the total right, a line with too many fields forces one with too
+    # few, on which loadtxt raises, as usecols reaches the last column
     if (data and '"' not in text and all(map(str.strip, data))
-            and set(map(str.count, data, repeat(","))) == {len(header) - 1}):
+            and text.count(",") - lines[0].count(",") == (len(header) - 1) * len(data)):
         try:
             values = np.loadtxt(data, delimiter=",", comments=None, ndmin=2,
                                 usecols=range(len(header) - len(names), len(header)))

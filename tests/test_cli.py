@@ -386,6 +386,8 @@ class TestReadCsv:
     @example(b'a\n"1\n2"\n3\n')  # quoted value cell over two lines: one bad cell
     @example(b"a,b\n1\n")  # one field short
     @example(b"a,b\n1,2,3\n")  # one field long
+    @example(b"a,b\n1,2,3\n4\n")  # one long and one short: the comma total fits
+    @example(b"timestamp,a\nt,1,2\nt\n")  # the same with a timestamp
     @example(b"a\n1\n\n2\n")  # blank line in a one-column file
     @example(b"a\n1\n \t\n2\n")  # whitespace-only line in a one-column file
     @example(b"timestamp,a\nt0,1_0\n")  # loadtxt rejects underscores

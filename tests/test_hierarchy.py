@@ -120,7 +120,19 @@ class TestWardExamples:
         assert threading.active_count() == threads
 
 
+# eight rows whose last two merges break the tie rule: (5, 11), (12, 13)
+# where the oracle takes (5, 12), (11, 13)
+TIE_RULE_DEFECT = np.array([[2, 2], [2, 2], [2, 2], [2, 1], [1, 1], [1, 2], [2, 2], [2, 2]],
+                           dtype=np.float64)
+
+
 class TestOracleEquivalence:
+    @pytest.mark.xfail(strict=True, reason="rounding in the Lance-Williams update "
+                       "breaks ties the oracle keeps (ROADMAP item 4)")
+    def test_tie_rule_on_rounded_ties(self):
+        expected = naive_ward(TIE_RULE_DEFECT)
+        assert ward_linkage(TIE_RULE_DEFECT).ids.tolist() == [[a, b] for a, b, _, _ in expected]
+
     def test_unconstrained_matches_naive(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -166,6 +178,13 @@ def tie_heavy_periods(draw):
     return rows
 
 
+def synthetic_year():
+    """The (365, 72) period rows of a seeded synthetic year."""
+    values = np.column_stack([solar_profile(365, seed=4), wind_profile(365, seed=4),
+                              load_profile(365, seed=4)])
+    return periods_of(values, 24).reshape(365, -1)
+
+
 def spokes(n_spokes):
     """Unit spokes, then their hub at the origin: every spoke's nearest row."""
     return np.vstack([np.eye(n_spokes), np.zeros((1, n_spokes))])
@@ -178,14 +197,43 @@ class TestDenseEquality:
     @given(tie_heavy_periods())
     # the first merge takes the hub, so every spoke's cached neighbour is gone
     @example(spokes(20))
+    # (1, 3) and (0, 2) share no row, but the cluster {1, 3} is nearer to
+    # row 4 than row 0 is to row 2, so (4, 5) comes between them
+    @example(np.array([[0.5], [-0.4], [0.3], [-0.5], [-0.3]]))
+    # after (0, 2), the new cluster 5 is as near to row 1 as row 3 is to
+    # row 4, and (1, 5) wins the tie
+    @example(np.array([[0, 0, 0], [-0.5, 1, 0.5], [1, 0, 0], [10, 10, 10], [11, 11, 11]]))
+    # the tie rule's known defect (TestOracleEquivalence): the same merges
+    @example(TIE_RULE_DEFECT)
     def test_tie_heavy(self, rows):
         assert_same_merges(ward_linkage(rows), dense_ward(rows))
 
     def test_synthetic_year(self):
-        values = np.column_stack([solar_profile(365, seed=4), wind_profile(365, seed=4),
-                                  load_profile(365, seed=4)])
-        rows = periods_of(values, 24).reshape(365, -1)
+        rows = synthetic_year()
         assert_same_merges(ward_linkage(rows), dense_ward(rows))
+
+    def test_long_tie_heavy_input(self):
+        # 350 rows from a pool of 20: in several passes the candidate window
+        # ends inside a run of equal cached distances
+        rows = grid_with_repeats(350, 0)
+        assert_same_merges(ward_linkage(rows), dense_ward(rows))
+
+    # on the tie-heavy rows, new clusters tie with later merges at cost 0
+    @pytest.mark.parametrize("make_rows", [synthetic_year, lambda: grid_with_repeats(350, 0)],
+                             ids=["synthetic-year", "tie-heavy"])
+    def test_merges_in_batches(self, make_rows, monkeypatch):
+        # one _merge_batch call per pass of the merge loop
+        passes = []
+
+        def counted(*args):
+            passes.append(1)
+            return merge_batch(*args)
+
+        merge_batch = hierarchy._merge_batch
+        monkeypatch.setattr(hierarchy, "_merge_batch", counted)
+        rows = make_rows()
+        ward_linkage(rows)
+        assert 0 < len(passes) < len(rows) / 3
 
 
 class TestMemory:
