@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Trace the typical-period/segment pathway for three profile archetypes.
 
-Writes one trace CSV per (profile, representation) pair and prints where
-the search spends its early moves, which shows how strongly the profile
-shape steers the tradeoff (solar -> segments first, wind -> periods
-first).
+Writes one trace CSV per (profile, representation) pair, in the format of
+the CLI's ``pathway.csv``, and prints where the search spends its early
+moves, which shows how strongly the profile shape steers the tradeoff
+(solar -> segments first, wind -> periods first).
 """
 
 import argparse
-import csv
 from pathlib import Path
 
+from tsagg.cli import write_pathway
 from tsagg.core import build_frame
 from tsagg.pathway import ConfigEvaluator, pathway_search
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
@@ -32,12 +32,7 @@ def main():
         for method in METHODS:
             trace = pathway_search(ConfigEvaluator(periods, method))
             out = args.out_dir / f"{name}_{method}.csv"
-            with out.open("w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["p", "s", "total_steps", "rmse", "direction"])
-                for state in trace:
-                    writer.writerow([state.p, state.s, state.total_steps,
-                                     f"{state.rmse:.12g}", state.direction])
+            write_pathway(out, trace)
             first = [state.direction for state in trace[1:6]]
             n_seg = sum(d == "more_segments" for d in first)
             print(f"{name:6s} {method:13s} first 5 moves: "

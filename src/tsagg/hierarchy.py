@@ -10,9 +10,13 @@ period are merged by the chain routine in the segmentation module.)
 
 Determinism: cluster ids are 0..n-1 for the input samples and n+m for the
 cluster created by merge m. Among equal-cost candidate merges the pair
-with the lexicographically smallest (id_a, id_b), id_a < id_b, wins. A
-Linkage keeps its merges as three arrays: the (id_a, id_b) pairs, the
-costs and the sizes of the new clusters.
+with the lexicographically smallest (id_a, id_b), id_a < id_b, wins. The
+rule compares costs as computed: the Lance-Williams update rounds, so two
+merges whose exact costs tie can differ in the last bit, and the smaller
+computed cost then wins over the smaller ids (``TIE_RULE_DEFECT`` in the
+hierarchy tests is such an input, a strict expected failure). A Linkage
+keeps its merges as three arrays: the (id_a, id_b) pairs, the costs and
+the sizes of the new clusters.
 
 The period linkage is Müllner's generic algorithm ("Modern hierarchical,
 agglomerative clustering algorithms", arXiv:1109.2378). It keeps one n x n
@@ -99,10 +103,11 @@ class Linkage:
 # differences; when the other CPU was busy it gained nothing below 1,460
 THREAD_MIN_DIFFERENCES = 1 << 22
 
-# the most rows a pass of the merge loop orders. On a shared two-CPU VM,
-# 16, 32, 48 and 96 took 130, 119, 116 and 117 ms to link 1,095 periods
-# and 2.6, 2.7, 2.7 and 3.1 s for 8,760; a stable argsort of all active
-# rows, uncapped, took 2.7-3.4 s and 670 MB there against 642 MB
+# the most candidates a pass of the merge loop takes from the front of its
+# sorted rows. On a shared two-CPU VM (medians of 7 and 2 interleaved
+# runs), 16, 32, 48 and 96 took 122, 114, 118 and 119 ms to link 1,095
+# periods and 2.9, 2.4, 2.4 and 2.8 s for 8,760; every active row as a
+# candidate took 119 ms and 2.9 s
 CANDIDATES = 48
 
 
@@ -289,12 +294,12 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
 def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Müllner's generic algorithm, a pass of provable merges at a time.
 
-    A pass takes the rows in (cached distance, id) order, each with its
-    neighbour, up to the first whose neighbour merged earlier in the pass;
-    a row that merged as a neighbour drops out. Merge t stands unless a
-    pair with a cluster born earlier in the pass comes before it in the tie
-    rule; every other pair comes after it, as a row whose neighbour merged
-    can only move up. Rows whose neighbour merged rescan once a pass.
+    A pass takes the first CANDIDATES rows in (cached distance, id) order,
+    each with its neighbour, up to the first whose neighbour merged earlier
+    in the pass; a row that merged as a neighbour drops out. Merge t stands
+    unless a pair with a cluster born earlier in the pass comes before it in
+    the tie rule; every other pair comes after it, as a row whose neighbour
+    merged can only move up. Rows whose neighbour merged rescan once a pass.
     """
     n = samples.shape[0]
     # one row per active cluster; the cluster born in a merge takes over
@@ -362,16 +367,10 @@ def _merge_batch(dist, size, row_id, order, near_d, near_r):
     by merge u, inf unless s < u. An overflow is left as inf or nan, which
     sizes of at least 1 keep.
     """
-    # candidates: the rows below the CANDIDATES-th smallest cached distance,
-    # which the last row's inf never is, else the first at the minimum, in
-    # (distance, id) order
-    cached = near_d[order]
-    kth = min(CANDIDATES, order.size) - 1
-    pos = np.argpartition(cached, kth)[:kth + 1]
-    pos = pos[cached[pos] < cached[pos[kth]]]
-    if not pos.size:
-        pos = np.flatnonzero(cached == cached.min())[:CANDIDATES]
-    pos = pos[np.lexsort((pos, cached[pos]))]
+    # candidates: the first CANDIDATES rows in (cached distance, id) order,
+    # as ``order`` is in id order; the cap keeps out the last row, whose
+    # cached distance, inf, sorts last
+    pos = np.argsort(near_d[order], kind="stable")[:min(CANDIDATES, order.size - 1)]
     a, b = order[pos], near_r[order[pos]]
     take, seen = [], set()
     for t, (row, neighbour) in enumerate(zip(a.tolist(), b.tolist())):

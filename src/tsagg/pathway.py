@@ -82,13 +82,13 @@ class ConfigEvaluator:
     ``periods`` is the (P, T, N_a) array of normalized periods. Its period
     linkage is built once on the (P, T·N_a) row view and cut once per
     typical-period count. Most clusters of a cut are dendrogram nodes an
-    earlier cut had, so one store holds a representative profile and a
-    segment merge order (a rank row of ``segment_linkage``) per node.
+    earlier cut had, so the store holds a representative profile and a
+    segment merge order (a rank row of ``segment_linkage``) per node id.
     ``prepare(counts)`` cuts at each new count, runs ``represent`` per cut on
     its new nodes, then ``segment_linkage`` once on all of them. (p, s)
-    gathers its rows from the store; ``evaluate(p, s)`` returns its RMSE as
-    a float, cached per (p, s). Both stages treat each cluster alone,
-    members ascending, so rows are the same bytes.
+    gathers its rows from the store, and ``evaluate(p, s)`` returns its RMSE
+    as a float. Both stages treat each cluster alone, members ascending, so
+    rows are the same bytes.
     """
 
     def __init__(self, periods: np.ndarray, method: str):
@@ -96,22 +96,22 @@ class ConfigEvaluator:
         self.periods = periods
         self.method = method
         self.period_linkage: Linkage = ward_linkage(periods.reshape(n_periods, -1))
-        self._original = periods.reshape(-1, n_attrs)
         self._cuts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # node id -> row of the node store, -1 until the node is computed
-        self._row = np.full(2 * n_periods - 1, -1, dtype=np.int64)
-        self._profiles = np.empty((0, steps, n_attrs))
-        self._ranks = np.empty((0, steps - 1), dtype=np.int64)
-        self._rmse: dict[tuple[int, int], float] = {}
+        # rows by dendrogram node id; a row holds data once its node is done
+        self._done = np.zeros(2 * n_periods - 1, dtype=bool)
+        self._profiles = np.empty((2 * n_periods - 1, steps, n_attrs))
+        self._ranks = np.empty((2 * n_periods - 1, steps - 1), dtype=np.int64)
 
     def prepare(self, counts: list[int]) -> None:
-        """Cut at every new typical-period count and store the new nodes."""
-        start, batch = self._profiles.shape[0], []
-        for p in counts:
-            if p in self._cuts:
-                continue
+        """Cut at every new typical-period count and store the new nodes.
+
+        Cuts and nodes are committed only once every stage has returned: a
+        call that fails keeps no cut and marks no node done.
+        """
+        done, cuts = self._done.copy(), {}
+        for p in sorted(set(counts).difference(self._cuts)):
             assignment, nodes = self.period_linkage.cut(p)
-            new = np.flatnonzero(self._row[nodes] < 0)
+            new = np.flatnonzero(~done[nodes])
             # a cut whose nodes are all new is its own sub-clustering: no copy
             periods, sub = self.periods, assignment
             if 0 < new.size < nodes.size:
@@ -121,13 +121,14 @@ class ConfigEvaluator:
                 members = np.flatnonzero(label[assignment] >= 0)
                 periods, sub = periods[members], label[assignment[members]]
             if new.size:
-                profiles = represent(periods, sub, self.method)
-                self._row[nodes[new]] = start + sum(map(len, batch)) + np.arange(new.size)
-                batch.append(profiles)
-            self._cuts[p] = assignment, nodes
-        if batch:
-            self._profiles = np.concatenate([self._profiles, *batch])
-            self._ranks = np.concatenate([self._ranks, segment_linkage(self._profiles[start:])])
+                self._profiles[nodes[new]] = represent(periods, sub, self.method)
+                done[nodes[new]] = True
+            cuts[p] = assignment, nodes
+        new = np.flatnonzero(done & ~self._done)
+        if new.size:
+            self._ranks[new] = segment_linkage(self._profiles[new])
+        self._done = done
+        self._cuts.update(cuts)
 
     def reconstruction(self, p: int, s: int) -> tuple[np.ndarray, SegmentLayout, np.ndarray]:
         """Cluster assignment, segmented representatives and full-length reconstruction."""
@@ -138,17 +139,13 @@ class ConfigEvaluator:
             raise ConfigError(f"s={s} out of range [1, {steps}]")
         self.prepare([p])
         assignment, nodes = self._cuts[p]
-        rows = self._row[nodes]
-        layout = cut_layout(self._profiles[rows], self._ranks[rows], s)
+        layout = cut_layout(self._profiles[nodes], self._ranks[nodes], s)
         return assignment, layout, reconstruct(layout, assignment)
 
     def evaluate(self, p: int, s: int) -> float:
-        """RMSE_tot of (p, s) against the normalized periods, cached."""
-        key = (p, s)
-        if key not in self._rmse:
-            _, _, rec = self.reconstruction(p, s)
-            self._rmse[key] = rmse_tot(self._original, rec)
-        return self._rmse[key]
+        """RMSE_tot of (p, s) against the normalized periods."""
+        _, _, rec = self.reconstruction(p, s)
+        return rmse_tot(self.periods.reshape(rec.shape), rec)
 
 
 def pathway_search(evaluator: ConfigEvaluator,

@@ -68,12 +68,6 @@ class TestEvaluateConfig:
         expected = np.sqrt(np.mean((x - x.mean(axis=0)) ** 2))
         assert abs(rmse - expected) < 1e-12
 
-    def test_cached_result_is_identical(self):
-        evaluator = ConfigEvaluator(small_periods(seed=2), "distribution")
-        first = evaluator.evaluate(4, 3)
-        second = evaluator.evaluate(4, 3)
-        assert first is second
-
     def test_failed_representation_stores_nothing(self):
         evaluator = ConfigEvaluator(small_periods(), "mean")
         for _ in range(2):
@@ -148,6 +142,31 @@ class TestNodeCache:
         merges = merge_list(ward_linkage(periods.reshape(60, -1)))
         nodes = set().union(*(naive_nodes(60, merges, p).tolist() for p in grid))
         assert sum(batches) == len(nodes) < sum(grid)
+
+    def test_failed_prepare_stores_nothing(self, monkeypatch):
+        periods = small_periods(seed=2)
+        evaluator = ConfigEvaluator(periods, "distribution")
+        calls = []
+
+        def failing_second(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("represent failed")
+            return represent(*args)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(pathway, "represent", failing_second)
+            with pytest.raises(RuntimeError, match="represent failed"):
+                evaluator.prepare([2, 4])
+        assert len(calls) == 2
+        fresh = ConfigEvaluator(periods, "distribution")
+        for s in (1, 5, 12):
+            assignment, layout, rec = evaluator.reconstruction(2, s)
+            expected_assignment, expected_layout, expected = fresh.reconstruction(2, s)
+            assert_array_equal(assignment, expected_assignment)
+            assert_array_equal(layout.lengths, expected_layout.lengths)
+            assert_array_equal(layout.values, expected_layout.values)
+            assert_array_equal(rec, expected)
 
     @settings(max_examples=80, deadline=None)
     @given(tie_heavy_periods(), st.sampled_from(REPRESENTATION_METHODS), st.data())

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import tsagg
+from tsagg.cli import main
+from tsagg.synthetic import load_profile
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 # the children import the same tsagg as this process
@@ -38,3 +40,16 @@ def test_script_runs_and_reruns_identically(tmp_path, script, out_flag, out_name
     assert sorted(first) == sorted(expected)
     assert all(first[name].count(b"\n") > 1 for name in expected)
     assert first == second
+
+
+def test_pathway_traces_have_the_cli_header(tmp_path):
+    data = tmp_path / "load.csv"
+    data.write_text("load\n" + "".join(f"{v!r}\n" for v in load_profile(30).tolist()))
+    assert main(["pathway", "--input", str(data), "--out-dir", str(tmp_path / "cli"),
+                 "--period-length", "24"]) == 0
+    header = (tmp_path / "cli" / "pathway.csv").read_text().splitlines()[0]
+    subprocess.run([sys.executable, str(SCRIPTS / "pathway_comparison.py"), "--days", "30",
+                    "--out-dir", str(tmp_path / "traces")], env=ENV, check=True,
+                   capture_output=True)
+    assert {(tmp_path / "traces" / name).read_text().splitlines()[0]
+            for name in TRACES} == {header}
