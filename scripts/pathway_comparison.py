@@ -29,8 +29,9 @@ def main():
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for name, gen in PROFILES.items():
         periods, _, _ = build_frame(gen(args.days, seed=args.seed), [name], 24)
+        evaluator = ConfigEvaluator(periods)
         for method in METHODS:
-            trace = pathway_search(ConfigEvaluator(periods, method))
+            trace = pathway_search(evaluator, method)
             out = args.out_dir / f"{name}_{method}.csv"
             write_pathway(out, trace)
             first = [state.direction for state in trace[1:6]]

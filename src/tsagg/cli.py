@@ -26,6 +26,7 @@ from .core import (
     build_frame,
     denormalize,
     normalize,
+    rescale,
     validate_and_build,
 )
 from .errors import ConfigError, DataError
@@ -45,13 +46,14 @@ def _round_floats(obj):
         return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
     return obj
 
 
 def write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(_round_floats(payload), indent=2, sort_keys=True)
+    try:
+        text = json.dumps(_round_floats(payload), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -159,39 +161,45 @@ def write_pathway(path: Path, trace: tuple[PathwayState, ...]) -> None:
                                for r in (state.ratio_periods, state.ratio_segments))])
 
 
-def _prepare(args: argparse.Namespace):
+def _frame(args: argparse.Namespace):
     values, names = read_csv(args.input)
     periods, offset, scale = build_frame(values, names, args.period_length,
                                          args.normalization, args.drop_trailing)
     dropped = values.shape[0] - periods.shape[0] * periods.shape[1]
     if dropped:
         print(f"note: dropped {dropped} trailing step(s)", file=sys.stderr)
-    return names, offset, scale, ConfigEvaluator(periods, args.representation)
+    return names, offset, scale, periods
 
 
-def _aggregate(names, offset, scale, evaluator: ConfigEvaluator, p: int, s: int,
-               out_dir: Path) -> None:
-    assignment, layout, rec = evaluator.reconstruction(p, s)
+def _aggregate(args: argparse.Namespace, names, offset, scale, evaluator, p: int, s: int):
+    assignment, layout, rec = evaluator.reconstruction(p, s, args.representation)
     report = build_report(evaluator.periods.reshape(rec.shape), rec, names, total_steps=p * s)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_representatives(out_dir / "representatives.csv", np.bincount(assignment), layout,
-                          names, offset, scale)
-    write_mapping(out_dir / "mapping.csv", assignment)
-    write_json(out_dir / "metrics.json", report)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    write_representatives(args.out_dir / "representatives.csv", np.bincount(assignment),
+                          layout, names, offset, scale)
+    write_mapping(args.out_dir / "mapping.csv", assignment)
+    write_json(args.out_dir / "metrics.json", report)
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    names, offset, scale, evaluator = _prepare(args)
-    s = args.segments if args.segments is not None else evaluator.periods.shape[1]
-    _aggregate(names, offset, scale, evaluator, args.typical_periods, s, args.out_dir)
+    names, offset, scale, periods = _frame(args)
+    p = args.typical_periods
+    s = args.segments if args.segments is not None else periods.shape[1]
+    # checked before the period linkage, the dominant cost
+    for name, value, limit in (("p", p, periods.shape[0]), ("s", s, periods.shape[1])):
+        if not 1 <= value <= limit:
+            raise ConfigError(f"{name}={value} out of range [1, {limit}]")
+    _aggregate(args, names, offset, scale, ConfigEvaluator(periods), p, s)
     return 0
 
 
 def cmd_pathway(args: argparse.Namespace) -> int:
-    names, offset, scale, evaluator = _prepare(args)
-    trace = pathway_search(evaluator, max_total_steps=args.budget)
-    selected = (select_config(trace, args.budget)
-                if args.budget is not None else trace[-1])
+    names, offset, scale, periods = _frame(args)
+    if args.budget is not None and args.budget < 1:  # checked before the period linkage
+        raise ConfigError(f"budget must be >= 1, got {args.budget}")
+    evaluator = ConfigEvaluator(periods)
+    trace = pathway_search(evaluator, args.representation, max_total_steps=args.budget)
+    selected = trace[-1] if args.budget is None else select_config(trace, args.budget)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_pathway(args.out_dir / "pathway.csv", trace)
     write_json(args.out_dir / "selected.json", {
@@ -201,15 +209,14 @@ def cmd_pathway(args: argparse.Namespace) -> int:
         "rmse_tot": selected.rmse,
         "budget": args.budget,
     })
-    _aggregate(names, offset, scale, evaluator, selected.p, selected.s, args.out_dir)
+    _aggregate(args, names, offset, scale, evaluator, selected.p, selected.s)
     return 0
 
 
-def cmd_metrics(original_path: Path, aggregated_path: Path,
-                normalization: str, out_dir: Path) -> int:
+def cmd_metrics(args: argparse.Namespace) -> int:
     """Score an externally produced aggregation against the original."""
-    original, names = validate_and_build(*read_csv(original_path))
-    aggregated, agg_names = validate_and_build(*read_csv(aggregated_path))
+    original, names = validate_and_build(*read_csv(args.input))
+    aggregated, agg_names = validate_and_build(*read_csv(args.aggregated))
     if set(agg_names) != set(names):
         raise DataError(
             f"attribute mismatch: original {list(names)}, aggregated {list(agg_names)}")
@@ -218,11 +225,11 @@ def cmd_metrics(original_path: Path, aggregated_path: Path,
             f"shape mismatch: original {original.shape}, aggregated {aggregated.shape}")
     # align the aggregated columns to the original by name
     columns = [agg_names.index(n) for n in names]
-    normalized, offset, scale = normalize(original, normalization)
-    agg_normalized = (aggregated[:, columns] - offset) / scale
-    report = build_report(normalized, agg_normalized, names)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "metrics.json", report)
+    normalized, offset, scale = normalize(original, args.normalization, names)
+    report = build_report(normalized, rescale(aggregated[:, columns], offset, scale, names),
+                          names)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    write_json(args.out_dir / "metrics.json", report)
     return 0
 
 
@@ -258,23 +265,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     agg = sub.add_parser("aggregate", help="aggregate at a fixed configuration")
     common_agg(agg)
+    agg.set_defaults(run=cmd_aggregate)
     agg.add_argument("--typical-periods", required=True, type=int)
     agg.add_argument("--segments", type=int, default=None,
                      help="segments per period (default: period length)")
 
     path = sub.add_parser("pathway", help="search the typical-period/segment tradeoff")
     common_agg(path)
+    path.set_defaults(run=cmd_pathway)
     path.add_argument("--budget", type=int, default=None,
                       help="maximum total aggregated time steps")
 
     met = sub.add_parser("metrics", help="score an external aggregation")
-    met.add_argument("--input", required=True, type=Path,
-                     help="original CSV")
+    common(met)
     met.add_argument("--aggregated", required=True, type=Path,
-                     help="reconstructed CSV of the same shape")
-    met.add_argument("--out-dir", required=True, type=Path)
-    met.add_argument("--normalization", choices=NORMALIZATION_METHODS,
-                     default="minmax")
+                     help="reconstructed CSV of the same shape as the input")
+    met.set_defaults(run=cmd_metrics)
     return parser
 
 
@@ -282,12 +288,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "metrics":
-            return cmd_metrics(args.input, args.aggregated,
-                               args.normalization, args.out_dir)
-        if args.command == "aggregate":
-            return cmd_aggregate(args)
-        return cmd_pathway(args)
+        return args.run(args)
     except (DataError, OSError) as exc:
         # OSError: creating the output directory or writing an artifact
         print(f"error: {exc}", file=sys.stderr)

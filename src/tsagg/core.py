@@ -53,31 +53,44 @@ def validate_and_build(values, names) -> tuple[np.ndarray, tuple[str, ...]]:
     return arr, names
 
 
-def normalize(x: np.ndarray, method: str = "minmax") -> tuple[np.ndarray, np.ndarray,
-                                                             np.ndarray]:
+def normalize(x: np.ndarray, method: str = "minmax",
+              names=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rescale every attribute of a validated (N_t, N_a) matrix.
 
     Returns (normalized, offset, scale), normalized = (x - offset) / scale
     per attribute. minmax maps each non-constant attribute onto exactly
     [0, 1]; znorm centers it to mean 0 with sample standard deviation 1
     (ddof=1). A constant attribute gets scale 1 and its value as offset, so
-    it normalizes to zeros and adds nothing to distances.
+    it normalizes to zeros and adds nothing to distances. An attribute whose
+    range or spread overflows is a DataError that names it, or its index.
     """
     if method not in NORMALIZATION_METHODS:
         raise ConfigError(
             f"unknown normalization method {method!r}, expected one of {NORMALIZATION_METHODS}")
-    constant = x.max(axis=0) == x.min(axis=0)
-    if method == "minmax":
-        offset = x.min(axis=0)
-        scale = x.max(axis=0) - offset
-    else:
-        offset = x.mean(axis=0)
-        scale = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1])
+    with np.errstate(all="ignore"):
+        constant = x.max(axis=0) == x.min(axis=0)
+        if method == "minmax":
+            offset = x.min(axis=0)
+            scale = x.max(axis=0) - offset
+        else:
+            offset = x.mean(axis=0)
+            scale = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1])
     offset = np.where(constant, x[0, :], offset)
     # scale can also underflow to zero for near-constant attributes; a unit
     # scale keeps the output finite (and exactly zero for true constants)
     scale = np.where(constant | (scale == 0.0), 1.0, scale)
-    return (x - offset) / scale, offset, scale
+    return rescale(x, offset, scale, names), offset, scale
+
+
+def rescale(x: np.ndarray, offset: np.ndarray, scale: np.ndarray, names=None) -> np.ndarray:
+    """(x - offset) / scale per column; a non-finite offset, scale or result is a DataError."""
+    with np.errstate(all="ignore"):
+        out = (x - offset) / scale
+    finite = np.isfinite(out).all(axis=0) & np.isfinite(offset) & np.isfinite(scale)
+    if not finite.all():
+        name = (names or range(finite.size))[np.argmin(finite)]
+        raise DataError(f"attribute {name!r} does not normalize to finite values")
+    return out
 
 
 def denormalize(values: np.ndarray, offset: np.ndarray, scale: np.ndarray) -> np.ndarray:
@@ -119,5 +132,6 @@ def build_frame(values, names, steps: int, normalization: str = "minmax",
     Returns (periods, offset, scale): the (P, T, N_a) array and the
     per-attribute transform :func:`denormalize` inverts.
     """
-    normalized, offset, scale = normalize(validate_and_build(values, names)[0], normalization)
+    x, names = validate_and_build(values, names)
+    normalized, offset, scale = normalize(x, normalization, names)
     return to_periods(normalized, steps, drop_trailing), offset, scale

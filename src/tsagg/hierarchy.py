@@ -30,17 +30,8 @@ same operands, so the bits are those of merging one pair at a time. The
 time is O(n^2) when few rows share a neighbour and O(n^3) at worst, when
 equal distances end every pass after one merge.
 
-The distance kernel leaves out the columns that are constant in every row,
-which add +0.0 to each sum, and sums the other columns' squared
-differences one column after the other, the order of scipy's ``cdist``.
-It fills the matrix in blocks of rows and, for the linkage, finds each
-row's first neighbour in the same pass, so the merge loop starts from its
-cached neighbours without another scan. A call of at least 2 *
-THREAD_MIN_DIFFERENCES differences (about 480 periods of 72 values) runs
-on every CPU the process may use, a smaller one on one CPU; the bits are
-the same whatever their number. The same kernel takes a batch of
-equal-sized groups, one matrix per group; the medoid representative sums
-its rows.
+The distance kernel, which the medoid representative shares, is described
+at ``sq_distances`` and ``_fill_distances``.
 """
 
 from __future__ import annotations
@@ -96,11 +87,13 @@ class Linkage:
         return label[inverse], roots[by_appearance]
 
 
-# the fewest differences a worker takes. Timed on a shared two-CPU VM
-# (medians of 30-40 alternating calls, 72 random columns), a second worker
-# lost at 300 rows (7.0 -> 7.4 ms), broke even near 500 and paid off from
-# about 700 (24.6 -> 21.5 ms; 1,095 rows: 49 -> 36 ms), about 2 * 2^22
-# differences; when the other CPU was busy it gained nothing below 1,460
+# the fewest differences a worker takes: two need about 480 rows of 72 values.
+# On a shared two-CPU VM (medians of 6-30 alternating one- and two-worker
+# calls of the linkage's distance pass on random rows), two workers lost at
+# 300 x 72 (8.0 -> 8.5 ms), broke even at 500-700 x 72, and read 60-67 ->
+# 45-69 ms at 1,095 x 72, 101-107 -> 71-75 ms at 1,460 x 72 and 565-630 ->
+# 334-388 ms at 8,760 x 3; with the other CPU busy they lost up to 1,460 x 72
+# (49 -> 51 ms, 78 -> 83 ms)
 THREAD_MIN_DIFFERENCES = 1 << 22
 
 # the most candidates a pass of the merge loop takes from the front of its
@@ -121,10 +114,8 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
     bit. A column that holds one finite value in all rows of each group
     (compared with ``==``, so 0.0 and -0.0 are one value) is left out: it
     adds +0.0 to each sum, and a sum of squares, never -0.0, is unchanged
-    by that. The linkage calls the same kernel, which then also returns each
-    row's first nearest neighbour among the larger indices. A call of fewer
-    than 2 * THREAD_MIN_DIFFERENCES differences runs on one CPU. The
-    kernel is described at ``_fill_distances``.
+    by that. The kernel, which the linkage calls as well, is described at
+    ``_fill_distances``.
     """
     batched = samples.ndim == 3
     out, _ = _fill_distances(samples if batched else samples[None], nearest=False)

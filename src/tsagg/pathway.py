@@ -14,7 +14,8 @@ descent. When one dimension is exhausted only the other is considered.
 The search stops when both are exhausted or when the total step count has
 surpassed the optional cap (the surpassing state is kept in the trace).
 The trace is a tuple of ``PathwayState``, one per visited configuration,
-each carrying the move that reached it.
+each carrying the move that reached it. A search follows one representation
+method on a ``ConfigEvaluator``, which serves every method of its dataset.
 """
 
 from __future__ import annotations
@@ -79,78 +80,71 @@ def build_grid(max_value: int) -> list[int]:
 class ConfigEvaluator:
     """Caches the pipeline stages shared between configurations, per node.
 
-    ``periods`` is the (P, T, N_a) array of normalized periods. Its period
-    linkage is built once on the (P, T·N_a) row view and cut once per
-    typical-period count. Most clusters of a cut are dendrogram nodes an
-    earlier cut had, so the store holds a representative profile and a
-    segment merge order (a rank row of ``segment_linkage``) per node id.
-    ``prepare(counts)`` cuts at each new count, runs ``represent`` per cut on
-    its new nodes, then ``segment_linkage`` once on all of them. (p, s)
-    gathers its rows from the store, and ``evaluate(p, s)`` returns its RMSE
-    as a float. Both stages treat each cluster alone, members ascending, so
-    rows are the same bytes.
+    One evaluator per dataset serves every representation method: it links
+    ``periods``, the (P, T, N_a) normalized periods, once on their (P, T·N_a)
+    row view and cuts once per typical-period count, and neither depends on
+    the method. Most clusters of a cut are dendrogram nodes an earlier cut
+    had, so a store per method holds a representative profile and a segment
+    merge order (a rank row of ``segment_linkage``) per node id.
+    ``prepare(counts, method)`` runs ``represent`` per cut on the method's
+    new nodes, then ``segment_linkage`` once on all of them. (p, s, method)
+    gathers its rows from that store. Both stages treat each cluster alone,
+    members ascending, so rows are the same bytes.
     """
 
-    def __init__(self, periods: np.ndarray, method: str):
-        n_periods, steps, n_attrs = periods.shape
+    def __init__(self, periods: np.ndarray):
         self.periods = periods
-        self.method = method
-        self.period_linkage: Linkage = ward_linkage(periods.reshape(n_periods, -1))
+        self.period_linkage: Linkage = ward_linkage(periods.reshape(len(periods), -1))
         self._cuts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # rows by dendrogram node id; a row holds data once its node is done
-        self._done = np.zeros(2 * n_periods - 1, dtype=bool)
-        self._profiles = np.empty((2 * n_periods - 1, steps, n_attrs))
-        self._ranks = np.empty((2 * n_periods - 1, steps - 1), dtype=np.int64)
+        # per method, rows by dendrogram node id; a row holds data once its node is done
+        self._nodes: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def prepare(self, counts: list[int]) -> None:
-        """Cut at every new typical-period count and store the new nodes.
+    def prepare(self, counts: list[int], method: str) -> None:
+        """Cut at every new typical-period count and store the method's new nodes.
 
         Cuts and nodes are committed only once every stage has returned: a
         call that fails keeps no cut and marks no node done.
         """
-        done, cuts = self._done.copy(), {}
-        for p in sorted(set(counts).difference(self._cuts)):
-            assignment, nodes = self.period_linkage.cut(p)
+        n_nodes, steps, n_attrs = 2 * len(self.periods) - 1, *self.periods.shape[1:]
+        old, profiles, ranks = self._nodes.get(method) or (
+            np.zeros(n_nodes, dtype=bool), np.empty((n_nodes, steps, n_attrs)),
+            np.empty((n_nodes, steps - 1), dtype=np.int64))
+        done, cuts = old.copy(), {}
+        for p in sorted(set(counts)):
+            cuts[p] = assignment, nodes = self._cuts.get(p) or self.period_linkage.cut(p)
             new = np.flatnonzero(~done[nodes])
-            # a cut whose nodes are all new is its own sub-clustering: no copy
-            periods, sub = self.periods, assignment
-            if 0 < new.size < nodes.size:
+            if new.size:
                 # the member periods of the new nodes, ascending, clustered by node
                 label = np.full(nodes.size, -1)
                 label[new] = np.arange(new.size)
                 members = np.flatnonzero(label[assignment] >= 0)
-                periods, sub = periods[members], label[assignment[members]]
-            if new.size:
-                self._profiles[nodes[new]] = represent(periods, sub, self.method)
+                profiles[nodes[new]] = represent(self.periods[members],
+                                                 label[assignment[members]], method)
                 done[nodes[new]] = True
-            cuts[p] = assignment, nodes
-        new = np.flatnonzero(done & ~self._done)
+        new = np.flatnonzero(done & ~old)
         if new.size:
-            self._ranks[new] = segment_linkage(self._profiles[new])
-        self._done = done
+            ranks[new] = segment_linkage(profiles[new])
+        self._nodes[method] = done, profiles, ranks
         self._cuts.update(cuts)
 
-    def reconstruction(self, p: int, s: int) -> tuple[np.ndarray, SegmentLayout, np.ndarray]:
+    def reconstruction(self, p: int, s: int,
+                       method: str) -> tuple[np.ndarray, SegmentLayout, np.ndarray]:
         """Cluster assignment, segmented representatives and full-length reconstruction."""
-        n_periods, steps = self.periods.shape[:2]
-        if not 1 <= p <= n_periods:
-            raise ConfigError(f"p={p} out of range [1, {n_periods}]")
-        if not 1 <= s <= steps:
-            raise ConfigError(f"s={s} out of range [1, {steps}]")
-        self.prepare([p])
+        self.prepare([p], method)
         assignment, nodes = self._cuts[p]
-        layout = cut_layout(self._profiles[nodes], self._ranks[nodes], s)
+        _, profiles, ranks = self._nodes[method]
+        layout = cut_layout(profiles[nodes], ranks[nodes], s)
         return assignment, layout, reconstruct(layout, assignment)
 
-    def evaluate(self, p: int, s: int) -> float:
-        """RMSE_tot of (p, s) against the normalized periods."""
-        _, _, rec = self.reconstruction(p, s)
+    def evaluate(self, p: int, s: int, method: str) -> float:
+        """RMSE_tot of (p, s) under ``method`` against the normalized periods."""
+        _, _, rec = self.reconstruction(p, s, method)
         return rmse_tot(self.periods.reshape(rec.shape), rec)
 
 
-def pathway_search(evaluator: ConfigEvaluator,
+def pathway_search(evaluator: ConfigEvaluator, method: str,
                    max_total_steps: int | None = None) -> tuple[PathwayState, ...]:
-    """Trace the steepest-descent pathway from (1, 1) toward full resolution.
+    """Trace the steepest-descent pathway of ``method`` from (1, 1) toward full resolution.
 
     Returns the visited states in order, each with the move that reached it.
     One ``segment_linkage`` call first links the nodes of every p it can
@@ -162,9 +156,9 @@ def pathway_search(evaluator: ConfigEvaluator,
     grid_s = build_grid(steps)
     reachable = grid_p if max_total_steps is None else (
         grid_p[:bisect.bisect_right(grid_p, max_total_steps) + 1])
-    evaluator.prepare(reachable)
+    evaluator.prepare(reachable, method)
     ip = i_s = 0
-    trace = [PathwayState(1, 1, evaluator.evaluate(1, 1))]
+    trace = [PathwayState(1, 1, evaluator.evaluate(1, 1, method))]
     while True:
         p, s, rmse = trace[-1].p, trace[-1].s, trace[-1].rmse
         if max_total_steps is not None and p * s > max_total_steps:
@@ -175,10 +169,10 @@ def pathway_search(evaluator: ConfigEvaluator,
             break
         ratio_p = ratio_s = None
         if can_p:
-            rmse_p = evaluator.evaluate(grid_p[ip + 1], s)
+            rmse_p = evaluator.evaluate(grid_p[ip + 1], s, method)
             ratio_p = (rmse_p - rmse) / (s * (grid_p[ip + 1] - p))
         if can_s:
-            rmse_s = evaluator.evaluate(p, grid_s[i_s + 1])
+            rmse_s = evaluator.evaluate(p, grid_s[i_s + 1], method)
             ratio_s = (rmse_s - rmse) / (p * (grid_s[i_s + 1] - s))
         # ties go to segments; a lone candidate wins by default
         if can_s and (not can_p or ratio_s <= ratio_p):

@@ -39,16 +39,16 @@ def report(name, ok, detail=""):
 
 
 def aggregate_once(periods, p, s, method):
-    assignment, _, rec = ConfigEvaluator(periods, method).reconstruction(p, s)
+    assignment, _, rec = ConfigEvaluator(periods).reconstruction(p, s, method)
     return assignment, rec
 
 
 @pytest.fixture(scope="module")
 def solar_run():
     periods = periods_of(solar_profile(365, seed=0), 24)
-    evaluator = ConfigEvaluator(periods, "distribution")
+    evaluator = ConfigEvaluator(periods)
     start = time.monotonic()
-    trace = pathway_search(evaluator)
+    trace = pathway_search(evaluator, "distribution")
     elapsed = time.monotonic() - start
     return periods, evaluator, trace, elapsed
 
@@ -176,7 +176,7 @@ def test_pathway_direction_reproduction(solar_run):
 
     start = time.monotonic()
     wind_periods = periods_of(wind_profile(365, seed=0), 24)
-    wind_trace = pathway_search(ConfigEvaluator(wind_periods, "distribution"))
+    wind_trace = pathway_search(ConfigEvaluator(wind_periods), "distribution")
     wind_elapsed = time.monotonic() - start
     wind_dirs = [state.direction for state in wind_trace[1:]]
     wind_first3 = all(d == MORE_PERIODS for d in wind_dirs[:3])
@@ -194,7 +194,7 @@ def test_pathway_dominance(solar_run):
     dominated = {}
     for budget in (48, 96, 192):
         selected = select_config(trace, budget)
-        hourly = evaluator.evaluate(budget // 24, 24)
+        hourly = evaluator.evaluate(budget // 24, 24, "distribution")
         dominated[budget] = selected.rmse <= hourly
     report("pathway-dominance", all(dominated.values()),
            ", ".join(f"budget {b}: {'<=' if ok else '>'} hourly"

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 import reference
 import tsagg
-from tsagg.cli import main, read_csv
+from tsagg.cli import main, read_csv, write_json
 from tsagg.core import build_frame, denormalize, normalize, validate_and_build
-from tsagg.errors import DataError
+from tsagg.errors import ConfigError, DataError
 from tsagg.metrics import rmse_tot
 from tsagg.pathway import ConfigEvaluator
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
@@ -103,7 +104,7 @@ class TestAggregate:
                      "--period-length", "6", "--typical-periods", "4",
                      "--segments", "3", "--normalization", "znorm"]) == 0
         periods, offset, scale = build_frame(values, ["a", "b"], 6, "znorm")
-        assignment, layout, _ = ConfigEvaluator(periods, "distribution").reconstruction(4, 3)
+        assignment, layout, _ = ConfigEvaluator(periods).reconstruction(4, 3, "distribution")
         segment_values = denormalize(layout.values.reshape(-1, 2), offset, scale)
         weights = np.bincount(assignment)
         expected = ["cluster_id,weight,segment_id,duration_steps,a,b"]
@@ -235,6 +236,116 @@ class TestAggregate:
     def test_unknown_flag_is_config_error(self):
         code = main(["aggregate", "--bogus"])
         assert code == 3
+
+
+def quiet_main(argv):
+    """main(argv), asserting that no warning escaped it."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code
+
+
+def no_linkage(samples):
+    raise AssertionError("the period linkage was built")
+
+
+class TestHostileInput:
+    """Finite inputs whose normalization overflows, and checks before the linkage."""
+
+    @pytest.fixture
+    def huge(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("spread\n1e200\n-1e200\n5\n1\n3\n")
+        return path
+
+    def test_overflowing_znorm_spread_is_data_error(self, huge, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert quiet_main(["pathway", "--input", str(huge), "--out-dir", str(out),
+                           "--period-length", "1", "--normalization", "znorm"]) == 2
+        assert "'spread'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_overflowing_znorm_spread_is_data_error(self, huge, tmp_path, capsys):
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("spread\n" + "0\n" * 5)
+        out = tmp_path / "out"
+        assert quiet_main(["metrics", "--input", str(huge), "--aggregated", str(zeros),
+                           "--out-dir", str(out), "--normalization", "znorm"]) == 2
+        assert "'spread'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_overflowing_minmax_range_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "range.csv"
+        path.write_text("range\n-1e308\n1e308\n0\n1\n")
+        out = tmp_path / "out"
+        assert quiet_main(["metrics", "--input", str(path), "--aggregated", str(path),
+                           "--out-dir", str(out)]) == 2
+        assert "'range'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_aggregated_frame_is_checked(self, tmp_path, capsys):
+        # the original normalizes; the aggregated frame overflows its scale
+        original, aggregated = tmp_path / "a.csv", tmp_path / "b.csv"
+        original.write_text("tiny\n0\n1e-300\n")
+        aggregated.write_text("tiny\n0\n1e10\n")
+        assert quiet_main(["metrics", "--input", str(original), "--aggregated",
+                           str(aggregated), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "'tiny'" in capsys.readouterr().err
+
+    def test_aggregate_checks_counts_before_the_linkage(self, tmp_path, monkeypatch,
+                                                        capsys):
+        path = tmp_path / "small.csv"
+        write_csv(path, np.arange(48.0), ["load"])
+        monkeypatch.setattr("tsagg.pathway.ward_linkage", no_linkage)
+        for counts, message in ((["1", "100"], "s=100 out of range [1, 24]"),
+                                (["3", "1"], "p=3 out of range [1, 2]")):
+            assert quiet_main(["aggregate", "--input", str(path), "--out-dir",
+                               str(tmp_path / "out"), "--period-length", "24",
+                               "--typical-periods", counts[0], "--segments", counts[1]]) == 3
+            assert message in capsys.readouterr().err
+
+    def test_pathway_checks_budget_before_the_linkage(self, year_csv, tmp_path, monkeypatch,
+                                                      capsys):
+        monkeypatch.setattr("tsagg.pathway.ward_linkage", no_linkage)
+        assert quiet_main(["pathway", "--input", str(year_csv), "--out-dir",
+                           str(tmp_path / "out"), "--period-length", "1",
+                           "--budget", "0"]) == 3
+        assert "budget must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_write_json_rejects_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "metrics.json"
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(DataError, match="metrics.json"):
+                write_json(path, {"rmse_tot": value})
+        assert not path.exists()
+
+
+class TestErrorBranches:
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("timestamp\n2021-01-01T00:00\n", "header declares no attribute columns"),
+    ], ids=["empty", "timestamp-only"])
+    def test_read_csv_without_attributes(self, tmp_path, capsys, text, message):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=message):
+            read_csv(path)
+        assert main(["aggregate", "--input", str(path), "--out-dir", str(tmp_path / "out"),
+                     "--period-length", "1", "--typical-periods", "1"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", [0, 49])
+    def test_period_length_out_of_range(self, tmp_path, capsys, length):
+        path = tmp_path / "in.csv"
+        write_csv(path, np.arange(48.0), ["load"])
+        message = f"steps_per_period={length} out of range for 48 steps"
+        with pytest.raises(ConfigError, match=message):
+            build_frame(np.arange(48.0), ["load"], length)
+        assert main(["aggregate", "--input", str(path), "--out-dir", str(tmp_path / "out"),
+                     "--period-length", str(length), "--typical-periods", "1"]) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestPathwayCommand:

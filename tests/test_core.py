@@ -47,6 +47,14 @@ class TestValidateAndBuild:
         with pytest.raises(DataError):
             validate_and_build(np.zeros((3, 2)), ["a"])
 
+    def test_three_dimensional_values_rejected(self):
+        with pytest.raises(DataError, match="values must be 2-dimensional, got ndim=3"):
+            validate_and_build(np.zeros((2, 3, 1)), ["a"])
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(DataError, match=r"empty data: shape \(0, 1\)"):
+            validate_and_build(np.zeros((0, 1)), ["a"])
+
 
 class TestNormalize:
     def test_minmax_simple(self):
@@ -64,6 +72,17 @@ class TestNormalize:
         normalized, _, _ = normalize(validated([[0.0], [2.0]]), "znorm")
         np.testing.assert_allclose(
             normalized.ravel(), [-1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-14)
+
+    @pytest.mark.parametrize("column, method", [
+        ([-1e308, 1e308, 0.0, 1.0], "minmax"),
+        ([1e200, -1e200, 5.0, 1.0, 3.0], "znorm"),
+    ], ids=["minmax-range", "znorm-spread"])
+    def test_overflow_names_the_attribute(self, column, method):
+        x = validated(np.column_stack([np.zeros(len(column)), column]))
+        with pytest.raises(DataError, match="attribute 'wide'"):
+            normalize(x, method, ("flat", "wide"))
+        with pytest.raises(DataError, match="attribute 1 "):
+            normalize(x, method)
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):

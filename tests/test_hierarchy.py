@@ -84,6 +84,10 @@ class TestWardExamples:
         with pytest.raises(ConfigError):
             ward_linkage(np.zeros((3, 1))).cut(4)
 
+    def test_zero_samples_rejected(self):
+        with pytest.raises(DataError, match="no samples to cluster"):
+            ward_linkage(np.zeros((0, 3)))
+
     def test_nonfinite_samples_rejected(self):
         with pytest.raises(DataError):
             ward_linkage(np.array([0.0, np.nan]))
@@ -268,6 +272,14 @@ class TestMemory:
         pages = {"SC_AVPHYS_PAGES": 1000, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr("os.sysconf", pages.__getitem__)
         assert available_memory() == 4096000
+
+    def test_available_memory_unknown(self, tmp_path, monkeypatch):
+        def no_sysconf(name):
+            raise ValueError(f"unrecognized configuration name {name!r}")
+
+        monkeypatch.setattr("tsagg.hierarchy.MEMINFO", str(tmp_path / "meminfo"))
+        monkeypatch.setattr("os.sysconf", no_sysconf)
+        assert available_memory() is None
 
     def test_matrix_beyond_free_memory_is_config_error(self, monkeypatch):
         # 8 * 25^2 bytes fit in 5,000; 8 * 26^2 do not

@@ -30,7 +30,7 @@ def single_cell(i, j, value):
 
 
 def aggregate(periods, p, s, method):
-    return ConfigEvaluator(periods, method).reconstruction(p, s)[2]
+    return ConfigEvaluator(periods).reconstruction(p, s, method)[2]
 
 
 class TestReconstruct:
@@ -150,6 +150,10 @@ class TestReport:
         assert set(report["chronological_rmse"]) == {"a", "b"}
         assert all(v >= 0 for v in report["duration_curve_rmse"].values())
         assert report["rmse_tot"] == rmse_tot(original, rec)
+
+    def test_name_count_mismatch(self):
+        with pytest.raises(DataError, match="1 names for 2 attributes"):
+            build_report(np.zeros((4, 2)), np.zeros((4, 2)), ["a"])
 
     def test_unknown_configuration_leaves_ratio_unset(self):
         x = np.zeros((10, 1))

@@ -31,7 +31,7 @@ def small_periods(seed=0, n_periods=16, steps=12, n_attrs=1):
 
 
 def search(periods, method, max_total_steps=None):
-    return pathway_search(ConfigEvaluator(periods, method), max_total_steps)
+    return pathway_search(ConfigEvaluator(periods), method, max_total_steps)
 
 
 class TestBuildGrid:
@@ -57,29 +57,30 @@ class TestBuildGrid:
 class TestEvaluateConfig:
     def test_identity_is_zero(self):
         periods = small_periods()
+        evaluator = ConfigEvaluator(periods)
         for method in ("centroid", "medoid", "distribution"):
-            rmse = ConfigEvaluator(periods, method).evaluate(16, 12)
+            rmse = evaluator.evaluate(16, 12, method)
             assert rmse == 0.0
 
     def test_coarsest_centroid_matches_dispersion(self):
         periods = small_periods(seed=1, n_attrs=2)
-        rmse = ConfigEvaluator(periods, "centroid").evaluate(1, 1)
+        rmse = ConfigEvaluator(periods).evaluate(1, 1, "centroid")
         x = periods.reshape(-1, 2)
         expected = np.sqrt(np.mean((x - x.mean(axis=0)) ** 2))
         assert abs(rmse - expected) < 1e-12
 
     def test_failed_representation_stores_nothing(self):
-        evaluator = ConfigEvaluator(small_periods(), "mean")
+        evaluator = ConfigEvaluator(small_periods())
         for _ in range(2):
             with pytest.raises(ConfigError, match="unknown representation"):
-                evaluator.evaluate(4, 3)
+                evaluator.evaluate(4, 3, "mean")
 
     def test_out_of_range(self):
-        evaluator = ConfigEvaluator(small_periods(), "centroid")
+        evaluator = ConfigEvaluator(small_periods())
         with pytest.raises(ConfigError):
-            evaluator.evaluate(0, 1)
+            evaluator.evaluate(0, 1, "centroid")
         with pytest.raises(ConfigError):
-            evaluator.evaluate(1, 99)
+            evaluator.evaluate(1, 99, "centroid")
 
 
 @st.composite
@@ -102,27 +103,34 @@ def tie_heavy_periods(draw):
 
 class TestNodeCache:
     @settings(max_examples=150, deadline=None)
-    @given(tie_heavy_periods(), st.sampled_from(REPRESENTATION_METHODS), st.data())
-    def test_matches_fresh_pipeline(self, periods, method, data):
+    @given(tie_heavy_periods(), st.data())
+    def test_matches_fresh_pipeline(self, periods, data):
         n_periods, steps, n_attrs = periods.shape
-        # configurations in a drawn order, then back: repeats and smaller p
+        # configurations and methods in a drawn order, then back: repeats,
+        # smaller p, and cuts that another method made first
         visits = data.draw(st.lists(
-            st.tuples(st.integers(1, n_periods), st.integers(1, steps)),
-            min_size=1, max_size=6))
-        evaluator = ConfigEvaluator(periods, method)
+            st.tuples(st.integers(1, n_periods), st.integers(1, steps),
+                      st.sampled_from(REPRESENTATION_METHODS)),
+            min_size=1, max_size=8))
+        linkages = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathway, "ward_linkage",
+                       lambda samples: linkages.append(1) or ward_linkage(samples))
+            evaluator = ConfigEvaluator(periods)
         linkage = ward_linkage(periods.reshape(n_periods, -1))
-        for p, s in visits + visits[::-1]:
+        for p, s, method in visits + visits[::-1]:
             assignment, _ = linkage.cut(p)
             fresh = represent(periods, assignment, method)
             layout = cut_layout(fresh, segment_linkage(fresh), s)
             expected = reconstruct(layout, assignment)
-            got_assignment, got_layout, rec = evaluator.reconstruction(p, s)
+            got_assignment, got_layout, rec = evaluator.reconstruction(p, s, method)
             assert_array_equal(got_assignment, assignment)
             assert_array_equal(got_layout.lengths, layout.lengths)
             assert_array_equal(got_layout.values, layout.values)
             assert_array_equal(rec, expected)
-            assert evaluator.evaluate(p, s) == rmse_tot(periods.reshape(-1, n_attrs),
-                                                        expected)
+            assert evaluator.evaluate(p, s, method) == rmse_tot(periods.reshape(-1, n_attrs),
+                                                                expected)
+        assert len(linkages) == 1
 
     def test_segment_linkage_sees_each_node_once(self, monkeypatch):
         periods = small_periods(seed=15, n_periods=60, steps=24, n_attrs=2)
@@ -133,19 +141,24 @@ class TestNodeCache:
             return segment_linkage(profiles)
 
         monkeypatch.setattr(pathway, "segment_linkage", counting)
-        trace = search(periods, "distribution")
-        # an unbounded search ends at full resolution, so it cut at every grid
-        # p, and it prepared all of them before its first evaluation
-        assert trace[-1].p == 60
-        assert len(batches) == 1
         grid = build_grid(60)
         merges = merge_list(ward_linkage(periods.reshape(60, -1)))
         nodes = set().union(*(naive_nodes(60, merges, p).tolist() for p in grid))
-        assert sum(batches) == len(nodes) < sum(grid)
+        # each method on one evaluator links its own nodes, once
+        evaluator = ConfigEvaluator(periods)
+        for method in REPRESENTATION_METHODS:
+            batches.clear()
+            trace = pathway_search(evaluator, method)
+            # an unbounded search ends at full resolution, so it cut at every grid
+            # p, and it prepared all of them before its first evaluation
+            assert trace[-1].p == 60
+            assert len(batches) == 1
+            assert sum(batches) == len(nodes) < sum(grid)
 
     def test_failed_prepare_stores_nothing(self, monkeypatch):
         periods = small_periods(seed=2)
-        evaluator = ConfigEvaluator(periods, "distribution")
+        # the later methods fail on a cut that an earlier method already made
+        evaluator = ConfigEvaluator(periods)
         calls = []
 
         def failing_second(*args):
@@ -154,19 +167,22 @@ class TestNodeCache:
                 raise RuntimeError("represent failed")
             return represent(*args)
 
-        with monkeypatch.context() as mp:
-            mp.setattr(pathway, "represent", failing_second)
-            with pytest.raises(RuntimeError, match="represent failed"):
-                evaluator.prepare([2, 4])
-        assert len(calls) == 2
-        fresh = ConfigEvaluator(periods, "distribution")
-        for s in (1, 5, 12):
-            assignment, layout, rec = evaluator.reconstruction(2, s)
-            expected_assignment, expected_layout, expected = fresh.reconstruction(2, s)
-            assert_array_equal(assignment, expected_assignment)
-            assert_array_equal(layout.lengths, expected_layout.lengths)
-            assert_array_equal(layout.values, expected_layout.values)
-            assert_array_equal(rec, expected)
+        for method in REPRESENTATION_METHODS:
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(pathway, "represent", failing_second)
+                with pytest.raises(RuntimeError, match="represent failed"):
+                    evaluator.prepare([2, 4], method)
+            assert len(calls) == 2
+            fresh = ConfigEvaluator(periods)
+            for s in (1, 5, 12):
+                assignment, layout, rec = evaluator.reconstruction(2, s, method)
+                expected_assignment, expected_layout, expected = fresh.reconstruction(
+                    2, s, method)
+                assert_array_equal(assignment, expected_assignment)
+                assert_array_equal(layout.lengths, expected_layout.lengths)
+                assert_array_equal(layout.values, expected_layout.values)
+                assert_array_equal(rec, expected)
 
     @settings(max_examples=80, deadline=None)
     @given(tie_heavy_periods(), st.sampled_from(REPRESENTATION_METHODS), st.data())
@@ -177,18 +193,18 @@ class TestNodeCache:
         prepare, evaluate = ConfigEvaluator.prepare, ConfigEvaluator.evaluate
         prepared, evaluated = [], []
 
-        def lazy(self, counts):
+        def lazy(self, counts, method):
             # a no-op for the search's batch; reconstruction(p, s) still prepares p alone
             if len(counts) == 1:
-                prepare(self, counts)
+                prepare(self, counts, method)
 
-        def recording_prepare(self, counts):
+        def recording_prepare(self, counts, method):
             prepared.append(list(counts))
-            prepare(self, counts)
+            prepare(self, counts, method)
 
-        def recording_evaluate(self, p, s):
+        def recording_evaluate(self, p, s, method):
             evaluated.append(p)
-            return evaluate(self, p, s)
+            return evaluate(self, p, s, method)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ConfigEvaluator, "prepare", lazy)
@@ -283,6 +299,11 @@ class TestSelectConfig:
                  PathwayState(12, 8, 0.1, MORE_PERIODS, -0.3, -0.1),
                  PathwayState(12, 16, 0.05, MORE_SEGMENTS, None, -0.05))
         assert select_config(trace, 96) == trace[2]
+
+    def test_no_state_within_budget(self):
+        trace = (PathwayState(1, 2, 0.5), PathwayState(2, 2, 0.3, MORE_PERIODS, -0.1, None))
+        with pytest.raises(ConfigError, match="trace holds no state within the budget"):
+            select_config(trace, 1)
 
     def test_invalid_budget(self):
         trace = search(small_periods(seed=14), "centroid")

@@ -1,6 +1,7 @@
 """Smoke tests: each experiment script runs on a month of days and reruns byte-identically."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import tsagg
+from tsagg import pathway
 from tsagg.cli import main
+from tsagg.hierarchy import ward_linkage
 from tsagg.synthetic import load_profile
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
@@ -40,6 +43,22 @@ def test_script_runs_and_reruns_identically(tmp_path, script, out_flag, out_name
     assert sorted(first) == sorted(expected)
     assert all(first[name].count(b"\n") > 1 for name in expected)
     assert first == second
+
+
+@pytest.mark.parametrize("script, out_flag, out_name, linkages", [
+    ("pathway_comparison.py", "--out-dir", "traces", 3),
+    ("duration_curve_sweep.py", "--out", "sweep.csv", 1),
+], ids=["pathway_comparison", "duration_curve_sweep"])
+def test_script_links_each_input_once(tmp_path, monkeypatch, script, out_flag, out_name,
+                                      linkages):
+    # one period linkage per input profile serves all three methods
+    calls = []
+    monkeypatch.setattr(pathway, "ward_linkage",
+                        lambda samples: calls.append(1) or ward_linkage(samples))
+    monkeypatch.setattr(sys, "argv", [script, "--days", "30", out_flag,
+                                      str(tmp_path / out_name)])
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert len(calls) == linkages
 
 
 def test_pathway_traces_have_the_cli_header(tmp_path):

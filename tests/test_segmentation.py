@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tsagg.errors import ConfigError
+from tsagg.errors import ConfigError, DataError
 from tsagg.hierarchy import ward_linkage
 from tsagg.representation import represent
 from tsagg.segmentation import SegmentLayout, cut_layout, segment_linkage
@@ -163,6 +163,16 @@ class TestSegmentRepresentatives:
         day = rng.standard_normal((24, 1))
         _, layout = self.segmented(np.vstack([day, day]), 24, 2, 5)
         assert layout_of(layout, 0) == layout_of(layout, 1)
+
+
+@pytest.mark.parametrize("lengths, values, message", [
+    ([[2, 2]], np.zeros((1, 3, 1)), r"values of shape \(1, 3, 1\) for lengths of shape \(1, 2\)"),
+    ([[2, 2], [1, 2]], np.zeros((2, 2, 1)), "segments do not tile the period"),
+    ([[4, 0]], np.zeros((1, 2, 1)), "segments do not tile the period"),
+], ids=["shapes", "row-totals", "empty-segment"])
+def test_layout_rejects_malformed_segments(lengths, values, message):
+    with pytest.raises(DataError, match=message):
+        SegmentLayout(np.array(lengths), values)
 
 
 def test_equality_is_identity():
