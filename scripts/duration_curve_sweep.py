@@ -14,9 +14,8 @@ from pathlib import Path
 from tsagg.core import build_frame
 from tsagg.metrics import duration_curve_rmse, rmse_tot
 from tsagg.pathway import ConfigEvaluator, build_grid
+from tsagg.representation import REPRESENTATION_METHODS
 from tsagg.synthetic import load_profile
-
-METHODS = ("centroid", "medoid", "distribution")
 
 
 def main():
@@ -35,7 +34,7 @@ def main():
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["typical_days", "method", "rmse_tot", "duration_rmse"])
         for k in build_grid(periods.shape[0]):
-            for method in METHODS:
+            for method in REPRESENTATION_METHODS:
                 _, _, rec = evaluator.reconstruction(k, 24, method)
                 writer.writerow([
                     k, method,

@@ -13,10 +13,10 @@ from pathlib import Path
 from tsagg.cli import write_pathway
 from tsagg.core import build_frame
 from tsagg.pathway import ConfigEvaluator, pathway_search
+from tsagg.representation import REPRESENTATION_METHODS
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
 PROFILES = {"solar": solar_profile, "wind": wind_profile, "load": load_profile}
-METHODS = ("centroid", "medoid", "distribution")
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
     for name, gen in PROFILES.items():
         periods, _, _ = build_frame(gen(args.days, seed=args.seed), [name], 24)
         evaluator = ConfigEvaluator(periods)
-        for method in METHODS:
+        for method in REPRESENTATION_METHODS:
             trace = pathway_search(evaluator, method)
             out = args.out_dir / f"{name}_{method}.csv"
             write_pathway(out, trace)

@@ -220,10 +220,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if set(agg_names) != set(names):
         raise DataError(
             f"attribute mismatch: original {list(names)}, aggregated {list(agg_names)}")
-    if original.shape != aggregated.shape:
-        raise DataError(
-            f"shape mismatch: original {original.shape}, aggregated {aggregated.shape}")
-    # align the aggregated columns to the original by name
+    # align the aggregated columns to the original by name; build_report checks the shapes
     columns = [agg_names.index(n) for n in names]
     normalized, offset, scale = normalize(original, args.normalization, names)
     report = build_report(normalized, rescale(aggregated[:, columns], offset, scale, names),

@@ -115,7 +115,8 @@ def sq_distances(samples: np.ndarray) -> np.ndarray:
     (compared with ``==``, so 0.0 and -0.0 are one value) is left out: it
     adds +0.0 to each sum, and a sum of squares, never -0.0, is unchanged
     by that. The kernel, which the linkage calls as well, is described at
-    ``_fill_distances``.
+    ``_fill_distances``; its helper threads run under numpy's default error
+    settings, and the medoid, the one caller, passes normalized periods.
     """
     batched = samples.ndim == 3
     out, _ = _fill_distances(samples if batched else samples[None], nearest=False)
@@ -144,8 +145,9 @@ def _fill_distances(samples, nearest):
     at least one. Worker w takes blocks w, w + W, ..., as the early blocks
     are the widest, into buffers of its own. Every entry is the same
     expression whichever worker computes it, so the bits do not depend on
-    W. Helper threads run under the caller's ``np.geterr()``, and their
-    exceptions are raised in the caller.
+    W. Helper threads run under numpy's default error settings, as the
+    linkage rules out overflow first and the medoid passes normalized
+    periods; their exceptions are raised in the caller.
 
     With ``nearest`` and one group, each block also finds its rows' first
     neighbours: the (distance, index) of the first minimum among larger
@@ -169,9 +171,8 @@ def _fill_distances(samples, nearest):
         near_d, near_r = np.empty(n), np.empty(n, dtype=np.int64)
         # a row's own index and those below it are no candidates
         below = np.tri(rows, dtype=bool)
-    # a new thread starts with numpy's default error settings, and threading
-    # only prints an uncaught exception, which would leave blocks unfilled
-    settings, errors = np.geterr(), []
+    # threading only prints an uncaught exception, which would leave blocks unfilled
+    errors = []
 
     def fill(worker):
         try:
@@ -179,29 +180,28 @@ def _fill_distances(samples, nearest):
             # one column's squares only if that block goes column by column
             sums = np.empty(g * rows * n)
             squares = np.empty(g * rows * n) if n_cols * g * rows * n > 1 << 17 else None
-            with np.errstate(**settings):
-                for i in starts[worker::workers]:
-                    b = min(rows, n - i)
-                    size, shape = g * b * (n - i), (g, b, n - i)
-                    acc = sums[:size].reshape(shape)
-                    if n_cols * size <= 1 << 17:
-                        # the reduction adds the columns in order; it pairs
-                        # terms only in a one-entry block, a diagonal zero
-                        work = np.empty((n_cols,) + shape)
-                        np.subtract(columns[:, :, i:i + b, None], columns[:, :, None, i:],
-                                    out=work)
-                        np.multiply(work, work, out=work)
-                        np.add.reduce(work, axis=0, out=acc)
-                    else:
-                        _column_by_column(columns, i, acc, squares[:size].reshape(shape))
-                    out[:, i:i + b, i:] = acc
-                    out[:, i:, i:i + b] = acc.transpose(0, 2, 1)
-                    if nearest:
-                        acc = acc[0]
-                        acc[:, :b][below[:b, :b]] = np.inf
-                        k = acc.argmin(axis=1)
-                        near_r[i:i + b] = i + k
-                        near_d[i:i + b] = acc[np.arange(b), k]
+            for i in starts[worker::workers]:
+                b = min(rows, n - i)
+                size, shape = g * b * (n - i), (g, b, n - i)
+                acc = sums[:size].reshape(shape)
+                if n_cols * size <= 1 << 17:
+                    # the reduction adds the columns in order; it pairs
+                    # terms only in a one-entry block, a diagonal zero
+                    work = np.empty((n_cols,) + shape)
+                    np.subtract(columns[:, :, i:i + b, None], columns[:, :, None, i:],
+                                out=work)
+                    np.multiply(work, work, out=work)
+                    np.add.reduce(work, axis=0, out=acc)
+                else:
+                    _column_by_column(columns, i, acc, squares[:size].reshape(shape))
+                out[:, i:i + b, i:] = acc
+                out[:, i:, i:i + b] = acc.transpose(0, 2, 1)
+                if nearest:
+                    acc = acc[0]
+                    acc[:, :b][below[:b, :b]] = np.inf
+                    k = acc.argmin(axis=1)
+                    near_r[i:i + b] = i + k
+                    near_d[i:i + b] = acc[np.arange(b), k]
         except BaseException as exc:  # raised in the caller below
             errors.append(exc)
 
@@ -256,8 +256,12 @@ def available_memory() -> int | None:
 def ward_linkage(samples: np.ndarray) -> Linkage:
     """Build the full merge history (n - 1 merges) for the given samples.
 
-    Samples that are not finite, or whose squared distances or merge costs
-    overflow the float range, are a DataError.
+    Non-finite samples are a DataError, and so are those for which 4 n^2 R,
+    R the sum of the columns' (max - min)^2, is not finite. Below that bound
+    nothing overflows: a squared distance is at most R; a merge cost,
+    2|A||B|/(|A| + |B|) times the squared distance of centroids in the
+    samples' bounding box, at most n R; a Lance-Williams term, a size of at
+    most n times a cost, n^2 R, and a sum of two 2 n^2 R, half the bound.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
@@ -267,19 +271,16 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
     n = samples.shape[0]
     if n == 0:
         raise DataError("no samples to cluster")
+    with np.errstate(over="ignore"):
+        bound = 4.0 * n * n * np.square(samples.max(axis=0) - samples.min(axis=0)).sum()
+    if not np.isfinite(bound):
+        raise DataError("squared distances or merge costs could overflow; rescale the samples")
     needed, free = 8 * n * n, available_memory()
     if free is not None and needed > free:
         raise ConfigError(
             f"clustering {n} periods needs {needed / 1e6:.1f} MB for the "
             f"distance matrix, but only {free / 1e6:.1f} MB of memory is available")
-    # an overflow would turn distances into inf and the merges into
-    # self-merges, so any overflow rejects the samples
-    try:
-        with np.errstate(over="raise"):
-            return Linkage(*_generic_ward(samples))
-    except FloatingPointError:
-        raise DataError("squared distances or merge costs between the "
-                        "samples overflow; rescale them") from None
+    return Linkage(*_generic_ward(samples))
 
 
 def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -320,9 +321,6 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         stays = np.flatnonzero(~merged[order])
         rest, new_d = order[stays], new_d.take(stays, axis=1)
         low = np.tri(a.size, k=-1, dtype=bool)
-        # an overflow in an operand of a distance among new clusters shows there
-        if not (np.isfinite(new_d).all() and np.isfinite(new_new[low]).all()):
-            raise FloatingPointError("overflow in a merge's distance update")
         flat[(a * n)[:, None] + rest] = new_d
         flat[a[:, None] + rest * n] = new_d
         flat[((a * n)[:, None] + a)[low]] = flat[(a[:, None] + a * n)[low]] = new_new[low]
@@ -355,8 +353,7 @@ def _merge_batch(dist, size, row_id, order, near_d, near_r):
     Returns the rows a and b of those merges, in order; the new clusters'
     distances to the rows of ``order``, inf at the rows that their own or
     an earlier merge takes; and [u, s], the later cluster u's distance to s
-    by merge u, inf unless s < u. An overflow is left as inf or nan, which
-    sizes of at least 1 keep.
+    by merge u, inf unless s < u.
     """
     # candidates: the first CANDIDATES rows in (cached distance, id) order,
     # as ``order`` is in id order; the cap keeps out the last row, whose
@@ -380,12 +377,11 @@ def _merge_batch(dist, size, row_id, order, near_d, near_r):
         return ((si + nm) * d_a + (sj + nm) * d_b - nm * d) / ((si + sj) + nm)
 
     earlier = np.tri(len(take), k=-1, dtype=bool)  # [u, s]: s < u
-    with np.errstate(over="ignore", invalid="ignore"):
-        new_d = update(dist[a].take(order, axis=1), dist[b].take(order, axis=1), size[order])
-        # [s, u]: cluster s's distance to the rows a and b of merge u
-        to_a, to_b = new_d[:, pos_a], new_d[:, pos_b]
-        # [u, s]: the later cluster u's distance to s, as merge u computes it
-        new_new = np.where(earlier, update(to_a.T, to_b.T, (si + sj).T), np.inf)
+    new_d = update(dist[a].take(order, axis=1), dist[b].take(order, axis=1), size[order])
+    # [s, u]: cluster s's distance to the rows a and b of merge u
+    to_a, to_b = new_d[:, pos_a], new_d[:, pos_b]
+    # [u, s]: the later cluster u's distance to s, as merge u computes it
+    new_new = np.where(earlier, update(to_a.T, to_b.T, (si + sj).T), np.inf)
 
     # merge t stands if every pair with a cluster s < t of the pass costs
     # more; cluster s meets no row that its own or an earlier merge takes

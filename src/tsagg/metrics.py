@@ -69,16 +69,22 @@ def build_report(original: np.ndarray, aggregated: np.ndarray,
 
     total_steps is the aggregated size (typical periods x segments); it and
     reduction_ratio are None for externally supplied reconstructions whose
-    configuration is unknown.
+    configuration is unknown. An overflow is a DataError naming the
+    attribute with the largest error, the first one if several overflow.
     """
     original, aggregated = _check_shapes(original, aggregated)
     names = list(attribute_names)
     if len(names) != original.shape[1]:
         raise DataError(f"{len(names)} names for {original.shape[1]} attributes")
-    chron = attribute_rmse(original, aggregated)
-    duration = duration_curve_rmse(original, aggregated)
+    with np.errstate(over="ignore"):
+        total = rmse_tot(original, aggregated)
+        chron = attribute_rmse(original, aggregated)
+        duration = duration_curve_rmse(original, aggregated)
+    worst = np.maximum(chron, duration)
+    if not (np.isfinite(total) and np.isfinite(worst).all()):
+        raise DataError(f"squared differences of attribute {names[worst.argmax()]!r} overflow")
     return {
-        "rmse_tot": rmse_tot(original, aggregated),
+        "rmse_tot": total,
         "chronological_rmse": {n: float(v) for n, v in zip(names, chron)},
         "duration_curve_rmse": {n: float(v) for n, v in zip(names, duration)},
         "total_steps": total_steps,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -14,10 +15,17 @@ from hypothesis import strategies as st
 import reference
 import tsagg
 from tsagg.cli import main, read_csv, write_json
-from tsagg.core import build_frame, denormalize, normalize, validate_and_build
+from tsagg.core import (
+    NORMALIZATION_METHODS,
+    build_frame,
+    denormalize,
+    normalize,
+    validate_and_build,
+)
 from tsagg.errors import ConfigError, DataError
 from tsagg.metrics import rmse_tot
 from tsagg.pathway import ConfigEvaluator
+from tsagg.representation import REPRESENTATION_METHODS
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
 
@@ -294,6 +302,17 @@ class TestHostileInput:
                            str(aggregated), "--out-dir", str(tmp_path / "out")]) == 2
         assert "'tiny'" in capsys.readouterr().err
 
+    def test_metrics_overflowing_squared_difference_is_data_error(self, tmp_path, capsys):
+        # both frames rescale to finite values; their difference squared does not
+        original, aggregated = tmp_path / "a.csv", tmp_path / "b.csv"
+        original.write_text("x\n0\n1\n")
+        aggregated.write_text("x\n0\n1e300\n")
+        out = tmp_path / "out"
+        assert quiet_main(["metrics", "--input", str(original), "--aggregated",
+                           str(aggregated), "--out-dir", str(out)]) == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_aggregate_checks_counts_before_the_linkage(self, tmp_path, monkeypatch,
                                                         capsys):
         path = tmp_path / "small.csv"
@@ -320,6 +339,144 @@ class TestHostileInput:
             with pytest.raises(DataError, match="metrics.json"):
                 write_json(path, {"rmse_tot": value})
         assert not path.exists()
+
+
+# magnitudes up to 1e308, with subnormals and both zeros; each column
+# draws its values from one of these
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308])
+COLUMN_VALUES = [st.floats(-1e308, 1e308), st.floats(-1e3, 1e3),
+                 st.one_of(st.floats(-1e308, 1e308), st.floats(-1, 1), EXTREMES)]
+
+
+@st.composite
+def frame_text(draw, n_rows, n_cols):
+    """CSV text of n_rows by n_cols values, sometimes with a blank or ragged line.
+
+    A column is free, constant, or constant but for one value, which is one
+    ulp away or any other value.
+    """
+    columns = []
+    for _ in range(n_cols):
+        kind = draw(st.sampled_from(["free", "free", "constant", "nearly"]))
+        values = draw(st.sampled_from(COLUMN_VALUES))
+        if kind == "free":
+            columns.append(draw(st.lists(values, min_size=n_rows, max_size=n_rows)))
+            continue
+        column = [draw(values)] * n_rows
+        if kind == "nearly":
+            other = draw(st.one_of(st.sampled_from([np.inf, -np.inf]), values))
+            if np.isinf(other):
+                other = float(np.nextafter(column[0], other))
+            column[draw(st.integers(0, n_rows - 1))] = other
+        columns.append(column)
+    cell = draw(st.sampled_from([repr, "{:.10g}".format]))
+    lines = [",".join(f"a{i}" for i in range(n_cols))]
+    lines += [",".join(cell(v) for v in row) for row in zip(*columns)]
+    damage = draw(st.sampled_from(["none"] * 8 + ["blank", "short", "long"]))
+    if damage != "none":
+        line = {"blank": "", "short": ",".join(["1"] * (n_cols - 1)),
+                "long": ",".join(["1"] * (n_cols + 1))}[damage]
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    return "\n".join(lines) + "\n"
+
+
+def count(draw, limit):
+    """A count in [1, limit], or now and then 0 or limit + 1."""
+    if draw(st.integers(0, 7)):
+        return draw(st.integers(1, limit))
+    return draw(st.sampled_from([0, limit + 1]))
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv without --input and --out-dir, input CSV text, aggregated CSV text or None).
+
+    The input holds periods of up to 6 steps, sometimes with a remainder.
+    """
+    steps, n_periods = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    remainder = 0 if draw(st.integers(0, 3)) else draw(st.integers(0, steps - 1))
+    n_rows = n_periods * steps + remainder
+    n_cols = draw(st.integers(1, 3))
+    command = draw(st.sampled_from(["aggregate", "pathway", "metrics"]))
+    argv = [command, "--normalization", draw(st.sampled_from(NORMALIZATION_METHODS))]
+    if command == "metrics":
+        return argv, draw(frame_text(n_rows, n_cols)), draw(frame_text(n_rows, n_cols))
+    length = steps if draw(st.integers(0, 3)) else draw(st.integers(0, n_rows + 1))
+    argv += ["--period-length", str(length),
+             "--representation", draw(st.sampled_from(REPRESENTATION_METHODS))]
+    if draw(st.booleans()):
+        argv.append("--drop-trailing")
+    if command == "aggregate":
+        argv += ["--typical-periods", str(count(draw, n_periods))]
+        if draw(st.booleans()):
+            argv += ["--segments", str(count(draw, steps))]
+    elif draw(st.booleans()):
+        argv += ["--budget", str(count(draw, n_periods * steps))]
+    return argv, draw(frame_text(n_rows, n_cols)), None
+
+
+def artifact_numbers(name, data):
+    """Every number in an artifact, as floats."""
+    if name.endswith(".json"):
+        def reject(token):
+            raise AssertionError(f"{name}: {token}")
+
+        def walk(obj):
+            if isinstance(obj, dict):
+                return [x for v in obj.values() for x in walk(v)]
+            return [float(obj)] if isinstance(obj, (int, float)) else []
+
+        return walk(json.loads(data, parse_constant=reject))
+    rows = list(csv.reader(data.decode().splitlines()))[1:]
+    return [float(c) for row in rows for c in row
+            if c not in ("", "more_periods", "more_segments")]
+
+
+def run_main(argv, out):
+    """main's exit code and, on exit 0, its artifacts in ``out`` by name."""
+    code = quiet_main(argv + ["--out-dir", str(out)])
+    return code, ({f.name: f.read_bytes() for f in out.iterdir()} if code == 0 else None)
+
+
+class TestMainOnGeneratedInput:
+    @settings(max_examples=300, deadline=None)
+    @given(cli_runs())
+    # a finite aggregated frame whose squared difference overflows
+    @example((["metrics", "--normalization", "minmax"], "x\n0\n1\n", "x\n0\n1e300\n"))
+    # the overflowing normalizations of the hostile-input tests
+    @example((["pathway", "--normalization", "znorm", "--period-length", "1",
+               "--representation", "distribution"], "x\n1e200\n-1e200\n5\n1\n3\n", None))
+    @example((["metrics", "--normalization", "znorm"], "x\n1e200\n-1e200\n5\n1\n3\n",
+              "x\n0\n0\n0\n0\n0\n"))
+    @example((["metrics", "--normalization", "minmax"], "x\n-1e308\n1e308\n0\n1\n",
+              "x\n-1e308\n1e308\n0\n1\n"))
+    def test_exits_cleanly_with_sound_artifacts(self, tmp_path_factory, run):
+        argv, text, aggregated = run
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            work = Path(tmp)
+            (work / "input.csv").write_text(text)
+            argv = argv + ["--input", str(work / "input.csv")]
+            if aggregated is not None:
+                (work / "aggregated.csv").write_text(aggregated)
+                argv += ["--aggregated", str(work / "aggregated.csv")]
+            code, artifacts = run_main(argv, work / "out")
+            assert code in (0, 2, 3)
+            if code != 0:
+                return
+            for name, data in artifacts.items():
+                assert np.isfinite(artifact_numbers(name, data)).all(), name
+            assert run_main(argv, work / "rerun") == (0, artifacts)
+        if argv[0] == "metrics":
+            return
+        steps = int(argv[argv.index("--period-length") + 1])
+        n_periods = (text.count("\n") - 1) // steps  # no blank or ragged line on exit 0
+        reps = list(csv.DictReader(artifacts["representatives.csv"].decode().splitlines()))
+        weights, lengths = {}, {}
+        for row in reps:
+            weights[row["cluster_id"]] = int(row["weight"])
+            lengths.setdefault(row["cluster_id"], []).append(int(row["duration_steps"]))
+        assert sum(weights.values()) == n_periods
+        assert all(sum(ls) == steps and min(ls) >= 1 for ls in lengths.values())
 
 
 class TestErrorBranches:
@@ -555,8 +712,8 @@ def test_cli_import_loads_no_scipy():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     # the child imports the same tsagg as this process
     src = str(Path(tsagg.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
 
 
@@ -572,6 +729,6 @@ def test_cli_calls_load_no_numpy_ma(tmp_path):
             f" '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
             "print('numpy.ma' in sys.modules)")
     src = str(Path(tsagg.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "False"

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -105,23 +105,84 @@ class TestWardExamples:
                 ward_linkage([[0.0], [1e154], [1.0]])
 
     def test_overflow_in_a_helper_block_rejected(self, monkeypatch):
-        # 500 rows of 72 columns take 2 workers, and blocks hold 64 rows:
-        # rows 64-127 are block 1, the helper's, and only the pair (70, 300)
-        # overflows
+        # 500 rows of 72 columns would take 2 workers, and blocks hold 64
+        # rows: rows 64-127 are block 1, the helper's, and only the pair
+        # (70, 300) overflows. The bound rejects the samples first.
         use_cpus(monkeypatch, 2)
         x = np.random.default_rng(14).standard_normal((500, 72))
         x[70, 0], x[300, 0] = 1e154, -1e154
-        threads = threading.active_count()
         started = record_threads(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # the merge costs overflow too, so the kernel is checked alone
-            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                sq_distances(x)
             with pytest.raises(DataError, match="overflow"):
                 ward_linkage(x)
-        assert len(started) == 2  # one helper per call
-        assert threading.active_count() == threads
+        assert started == []
+
+    def test_exception_in_a_helper_block_reaches_the_caller(self, monkeypatch):
+        # as above, block 1 is the helper's, and it goes column by column
+        use_cpus(monkeypatch, 2)
+        column_by_column, failed_in = hierarchy._column_by_column, []
+
+        def failing(columns, i, acc, diff):
+            if i == 64:
+                failed_in.append(threading.current_thread())
+                raise RuntimeError("block 64 failed")
+            column_by_column(columns, i, acc, diff)
+
+        monkeypatch.setattr(hierarchy, "_column_by_column", failing)
+        started = record_threads(monkeypatch)
+        with pytest.raises(RuntimeError, match="block 64 failed"):
+            ward_linkage(np.random.default_rng(14).standard_normal((500, 72)))
+        assert len(started) == 1 and failed_in == started
+
+
+@st.composite
+def spread_samples(draw):
+    """Normal, 0..2 integer or repeated rows, 2-120 of 1-12 columns, not all equal."""
+    n, d = draw(st.integers(2, 120)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "repeated"]))
+    if kind == "normal":
+        x = rng.standard_normal((n, d))
+    elif kind == "integer":
+        x = rng.integers(0, 3, (n, d)).astype(np.float64)
+    else:
+        pool = rng.standard_normal((draw(st.integers(2, 6)), d))
+        x = pool[rng.integers(0, len(pool), n)]
+    assume(np.ptp(x, axis=0).any())
+    return x
+
+
+def scaled_to_bound(x, share):
+    """x scaled so that 4 n^2 sum((max - min)^2) is share of the largest float."""
+    bound = 4.0 * len(x) ** 2 * np.square(np.ptp(x, axis=0)).sum()
+    return x * (np.sqrt(share / bound) * np.sqrt(np.finfo(np.float64).max))
+
+
+class TestOverflowBound:
+    """ward_linkage links samples just inside its bound and rejects those just outside."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spread_samples())
+    def test_links_inside_the_bound(self, x):
+        # one CPU: helper threads would not take the caller's error settings
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            use_cpus(mp, 1)
+            warnings.simplefilter("error")
+            with np.errstate(over="raise", invalid="raise"):
+                linkage = ward_linkage(scaled_to_bound(x, 0.999))
+        assert np.isfinite(linkage.costs).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(spread_samples())
+    def test_rejected_outside_the_bound_before_any_thread(self, x):
+        with pytest.MonkeyPatch.context() as mp:
+            use_cpus(mp, 2)
+            mp.setattr(hierarchy, "THREAD_MIN_DIFFERENCES", 1)
+            started = record_threads(mp)
+            with pytest.raises(DataError, match="overflow"):
+                ward_linkage(scaled_to_bound(x, 1.001))
+        assert started == []
 
 
 # eight rows whose last two merges break the tie rule: (5, 11), (12, 13)

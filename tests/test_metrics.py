@@ -155,6 +155,16 @@ class TestReport:
         with pytest.raises(DataError, match="1 names for 2 attributes"):
             build_report(np.zeros((4, 2)), np.zeros((4, 2)), ["a"])
 
+    @pytest.mark.parametrize("aggregated, name", [
+        ([[1.0, 1e200], [0.0, 3.0]], "b"),  # b's squares overflow
+        ([[1e200, 1e200], [0.0, 0.0]], "a"),  # both do: the first
+        # each attribute's mean square fits, the pooled sum does not
+        ([[1.1e154, 1.2e154], [0.0, 0.0]], "b"),
+    ], ids=["one", "both", "pooled"])
+    def test_overflow_names_the_attribute(self, aggregated, name):
+        with pytest.raises(DataError, match=f"attribute '{name}' overflow"):
+            build_report(np.zeros((2, 2)), aggregated, ["a", "b"])
+
     def test_unknown_configuration_leaves_ratio_unset(self):
         x = np.zeros((10, 1))
         report = build_report(x, x, ["a"])

@@ -1,4 +1,7 @@
-"""Smoke tests: each experiment script runs on a month of days and reruns byte-identically."""
+"""Smoke tests: each experiment script runs on a month of days and reruns byte-identically.
+
+The children run with ``-W error``, so a warning fails them as it fails a test.
+"""
 
 import os
 import runpy
@@ -27,7 +30,7 @@ def run_twice(tmp_path, script, out_flag, out_name):
     for i in range(2):
         out = tmp_path / str(i) / out_name
         out.parent.mkdir()
-        subprocess.run([sys.executable, str(SCRIPTS / script), "--days", "30",
+        subprocess.run([sys.executable, "-W", "error", str(SCRIPTS / script), "--days", "30",
                         out_flag, str(out)], env=ENV, check=True, capture_output=True)
         files = [out] if out.is_file() else sorted(out.iterdir())
         runs.append({f.name: f.read_bytes() for f in files})
@@ -67,8 +70,8 @@ def test_pathway_traces_have_the_cli_header(tmp_path):
     assert main(["pathway", "--input", str(data), "--out-dir", str(tmp_path / "cli"),
                  "--period-length", "24"]) == 0
     header = (tmp_path / "cli" / "pathway.csv").read_text().splitlines()[0]
-    subprocess.run([sys.executable, str(SCRIPTS / "pathway_comparison.py"), "--days", "30",
-                    "--out-dir", str(tmp_path / "traces")], env=ENV, check=True,
-                   capture_output=True)
+    subprocess.run([sys.executable, "-W", "error", str(SCRIPTS / "pathway_comparison.py"),
+                    "--days", "30", "--out-dir", str(tmp_path / "traces")], env=ENV,
+                   check=True, capture_output=True)
     assert {(tmp_path / "traces" / name).read_text().splitlines()[0]
             for name in TRACES} == {header}
