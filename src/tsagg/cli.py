@@ -33,7 +33,6 @@ from .errors import ConfigError, DataError
 from .metrics import build_report
 from .pathway import ConfigEvaluator, PathwayState, pathway_search, select_config
 from .representation import REPRESENTATION_METHODS
-from .segmentation import SegmentLayout
 
 
 def _fmt(value) -> str:
@@ -127,13 +126,11 @@ def _parse_rows(path: Path, reader, n_fields: int,
     return np.array(rows), line_nos
 
 
-def write_representatives(path: Path, weights: np.ndarray, layout: SegmentLayout,
-                          names, offset: np.ndarray, scale: np.ndarray) -> None:
-    """One row per (cluster, segment), weighted by cluster size, values denormalized."""
-    k, n_segments, n_attrs = layout.values.shape
-    values = denormalize(layout.values.reshape(-1, n_attrs), offset,
-                         scale).reshape(layout.values.shape).tolist()
-    weights, lengths = weights.tolist(), layout.lengths.tolist()
+def write_representatives(path: Path, weights: np.ndarray, lengths: np.ndarray,
+                          values: np.ndarray, names) -> None:
+    """One row per (cluster, segment), weighted by cluster size, values in original units."""
+    k, n_segments, n_attrs = values.shape
+    values, weights, lengths = values.tolist(), weights.tolist(), lengths.tolist()
     # '%.12g' % x prints exactly what _fmt(x) prints
     row = "%d,%d,%d,%d" + ",%.12g" * n_attrs + "\n"
     with path.open("w", encoding="utf-8", newline="") as fh:
@@ -172,11 +169,13 @@ def _frame(args: argparse.Namespace):
 
 
 def _aggregate(args: argparse.Namespace, names, offset, scale, evaluator, p: int, s: int):
+    """Write the artifacts of configuration (p, s), every value checked first."""
     assignment, layout, rec = evaluator.reconstruction(p, s, args.representation)
     report = build_report(evaluator.periods.reshape(rec.shape), rec, names, total_steps=p * s)
+    values = denormalize(layout.values.reshape(-1, len(names)), offset, scale, names)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_representatives(args.out_dir / "representatives.csv", np.bincount(assignment),
-                          layout, names, offset, scale)
+                          layout.lengths, values.reshape(layout.values.shape), names)
     write_mapping(args.out_dir / "mapping.csv", assignment)
     write_json(args.out_dir / "metrics.json", report)
 
@@ -200,7 +199,8 @@ def cmd_pathway(args: argparse.Namespace) -> int:
     evaluator = ConfigEvaluator(periods)
     trace = pathway_search(evaluator, args.representation, max_total_steps=args.budget)
     selected = trace[-1] if args.budget is None else select_config(trace, args.budget)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
+    # every value is checked before the first file is written
+    _aggregate(args, names, offset, scale, evaluator, selected.p, selected.s)
     write_pathway(args.out_dir / "pathway.csv", trace)
     write_json(args.out_dir / "selected.json", {
         "typical_periods": selected.p,
@@ -209,7 +209,6 @@ def cmd_pathway(args: argparse.Namespace) -> int:
         "rmse_tot": selected.rmse,
         "budget": args.budget,
     })
-    _aggregate(args, names, offset, scale, evaluator, selected.p, selected.s)
     return 0
 
 

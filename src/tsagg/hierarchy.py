@@ -30,8 +30,8 @@ same operands, so the bits are those of merging one pair at a time. The
 time is O(n^2) when few rows share a neighbour and O(n^3) at worst, when
 equal distances end every pass after one merge.
 
-The distance kernel, which the medoid representative shares, is described
-at ``sq_distances`` and ``_fill_distances``.
+The distance kernel is described at ``sq_distances``; the medoid
+representative calls it for its large clusters.
 """
 
 from __future__ import annotations
@@ -104,100 +104,64 @@ THREAD_MIN_DIFFERENCES = 1 << 22
 CANDIDATES = 48
 
 
-def sq_distances(samples: np.ndarray) -> np.ndarray:
+def sq_distances(samples: np.ndarray, nearest: bool = False):
     """Squared Euclidean distances between all rows, (n, D) -> (n, n).
 
-    A leading batch axis, (g, m, D) -> (g, m, m), gives each group its own
-    matrix, every entry the expression of a call on that group alone.
     Each entry sums the squared attribute differences in column order, the
     order of scipy's ``cdist(..., "sqeuclidean")``, so the two agree bit for
-    bit. A column that holds one finite value in all rows of each group
-    (compared with ``==``, so 0.0 and -0.0 are one value) is left out: it
-    adds +0.0 to each sum, and a sum of squares, never -0.0, is unchanged
-    by that. The kernel, which the linkage calls as well, is described at
-    ``_fill_distances``; its helper threads run under numpy's default error
-    settings, and the medoid, the one caller, passes normalized periods.
-    """
-    batched = samples.ndim == 3
-    out, _ = _fill_distances(samples if batched else samples[None], nearest=False)
-    return out if batched else out[0]
+    bit. A column that holds one finite value in all rows (compared with
+    ``==``, so 0.0 and -0.0 are one value) is left out: it adds +0.0 to each
+    sum, and a sum of squares, never -0.0, is unchanged by that.
 
-
-def _fill_distances(samples, nearest):
-    """The (g, n, n) distances of ``sq_distances`` for (g, n, D) samples.
-
-    Rows go in blocks of 64, each block across all groups. A block fills
-    its part of the upper triangle, and the lower triangle is its mirror
-    image. A block of at most 2^17 differences takes them all in one numpy
-    call, squares them and adds them up over the column axis, which numpy
-    accumulates one column after the other; the medoid's many small batched
-    calls are faster that way. A larger block goes column by column: it
-    squares the column's differences into a buffer and adds that to its
-    sums, so each entry again accumulates in column order, the buffers stay
-    small, and every numpy call releases the GIL, so the workers overlap.
-    Numpy's iterator would copy a broadcast operand through its buffer
-    whenever a block row is shorter than that buffer, which makes the
-    subtraction several times slower; there the kernel shrinks the buffer
-    to the smallest size numpy takes.
+    Rows go in blocks of 64, so a worker's two buffers hold 64 n values
+    each. A block fills its part of the upper triangle, and the lower
+    triangle is its mirror image. It goes column by column: it squares the
+    column's differences into one buffer and adds that to its sums in the
+    other, so each entry accumulates in column order, and every numpy call
+    releases the GIL, so the workers overlap. Numpy's iterator would copy a
+    broadcast operand through its buffer whenever a block row is shorter
+    than that buffer, which makes the subtraction several times slower;
+    there the kernel shrinks the buffer to the smallest size numpy takes.
 
     The W workers are the CPUs the process may use, at most one per block
     and one per THREAD_MIN_DIFFERENCES differences the call computes, and
     at least one. Worker w takes blocks w, w + W, ..., as the early blocks
-    are the widest, into buffers of its own. Every entry is the same
-    expression whichever worker computes it, so the bits do not depend on
-    W. Helper threads run under numpy's default error settings, as the
-    linkage rules out overflow first and the medoid passes normalized
-    periods; their exceptions are raised in the caller.
+    are the widest. Every entry is the same expression whichever worker
+    computes it, so the bits do not depend on W. Helper threads run under
+    numpy's default error settings, as the linkage rules out overflow first
+    and the medoid passes normalized periods; their exceptions are raised
+    in the caller.
 
-    With ``nearest`` and one group, each block also finds its rows' first
-    neighbours: the (distance, index) of the first minimum among larger
-    indices, with an infinite distance for the last row. Returns the
-    distances and those two arrays, or None for them.
+    With ``nearest``, each block also finds its rows' first neighbours, the
+    (distance, index) of the first minimum among larger indices, with an
+    infinite distance for the last row, and the call returns the distances
+    and those two arrays.
     """
-    g, n, _ = samples.shape
-    keep = ~((samples == samples[:, :1]).all(axis=(0, 1))
-             & np.isfinite(samples[:, 0]).all(axis=0))
-    keep[0] |= not keep.any()
-    columns = np.ascontiguousarray(samples[:, :, keep].transpose(2, 0, 1))
-    n_cols = columns.shape[0]
-    out = np.empty((g, n, n))
+    n = samples.shape[0]
+    keep = ~((samples == samples[:1]).all(axis=0) & np.isfinite(samples[0]))
+    columns = np.ascontiguousarray(samples[:, keep].T)
+    out, near_d, near_r = np.empty((n, n)), np.empty(n), np.empty(n, dtype=np.int64)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     rows = min(64, n)
     starts = range(0, n, rows)
     workers = max(1, min(cpus, len(starts),
-                         n_cols * g * n * (n + 1) // 2 // THREAD_MIN_DIFFERENCES))
-    if nearest:
-        near_d, near_r = np.empty(n), np.empty(n, dtype=np.int64)
-        # a row's own index and those below it are no candidates
-        below = np.tri(rows, dtype=bool)
+                         columns.shape[0] * n * (n + 1) // 2 // THREAD_MIN_DIFFERENCES))
+    below = np.tri(rows, dtype=bool)  # a row's own index and those below it
     # threading only prints an uncaught exception, which would leave blocks unfilled
     errors = []
 
     def fill(worker):
         try:
-            # the first block is the widest: a worker needs a buffer for
-            # one column's squares only if that block goes column by column
-            sums = np.empty(g * rows * n)
-            squares = np.empty(g * rows * n) if n_cols * g * rows * n > 1 << 17 else None
+            # sized for the first block, the widest
+            sums, squares = np.empty(rows * n), np.empty(rows * n)
             for i in starts[worker::workers]:
                 b = min(rows, n - i)
-                size, shape = g * b * (n - i), (g, b, n - i)
-                acc = sums[:size].reshape(shape)
-                if n_cols * size <= 1 << 17:
-                    # the reduction adds the columns in order; it pairs
-                    # terms only in a one-entry block, a diagonal zero
-                    work = np.empty((n_cols,) + shape)
-                    np.subtract(columns[:, :, i:i + b, None], columns[:, :, None, i:],
-                                out=work)
-                    np.multiply(work, work, out=work)
-                    np.add.reduce(work, axis=0, out=acc)
-                else:
-                    _column_by_column(columns, i, acc, squares[:size].reshape(shape))
-                out[:, i:i + b, i:] = acc
-                out[:, i:, i:i + b] = acc.transpose(0, 2, 1)
+                acc = sums[:b * (n - i)].reshape(b, n - i)
+                _column_by_column(columns, i, acc, squares[:acc.size].reshape(acc.shape))
+                out[i:i + b, i:] = acc
+                out[i:, i:i + b] = acc.T
                 if nearest:
-                    acc = acc[0]
                     acc[:, :b][below[:b, :b]] = np.inf
                     k = acc.argmin(axis=1)
                     near_r[i:i + b] = i + k
@@ -213,17 +177,17 @@ def _fill_distances(samples, nearest):
         thread.join()
     if errors:
         raise errors[0]
-    return out, ((near_d, near_r) if nearest else None)
+    return (out, near_d, near_r) if nearest else out
 
 
 def _column_by_column(columns, i, acc, diff):
-    """Sum the squared column differences of rows i.. into acc, (g, b, m)."""
-    b = acc.shape[1]
+    """Sum the squared column differences of rows i.. into acc, (b, n - i)."""
+    b = acc.shape[0]
     acc.fill(0.0)
     buffer_size = np.setbufsize(16)
     try:
         for column in columns:
-            np.subtract(column[:, i:i + b, None], column[:, None, i:], out=diff)
+            np.subtract(column[i:i + b, None], column[i:], out=diff)
             np.multiply(diff, diff, out=diff)
             np.add(acc, diff, out=acc)
     finally:
@@ -297,8 +261,7 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # one row per active cluster; the cluster born in a merge takes over
     # the row of id_a. Per row: its cluster id, size and cached neighbour,
     # the (distance, row) of the smallest (distance, id) among larger ids.
-    dist, (near_d, near_r) = _fill_distances(samples[None], nearest=True)
-    dist = dist[0]
+    dist, near_d, near_r = sq_distances(samples, nearest=True)
     flat = dist.reshape(-1)  # a block write takes one flat index faster
     row_id = np.arange(n)
     size = np.ones(n)

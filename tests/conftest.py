@@ -4,8 +4,21 @@ Every test also fails if a thread it started is still running after it.
 """
 
 import threading
+import warnings
 
 import pytest
+
+# Hypothesis imports this module inside a pytest hook to print a failing
+# test's example. One of its dependencies raises a DeprecationWarning on
+# import, which the "error" warning filter would turn into an internal error
+# that hides the example. Importing it once here, with that warning ignored
+# for the import alone, leaves every filter on the tests' own code in place.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # a Hypothesis without the module, or without its dependencies
+        pass
 
 acceptance_lines = []
 

@@ -255,6 +255,10 @@ def quiet_main(argv):
     return code
 
 
+# a column whose largest value does not survive the round trip through minmax
+TOP_OF_RANGE = "x\n2.9937604643020797e+292\n1.7976931348623157e+308\n"
+
+
 def no_linkage(samples):
     raise AssertionError("the period linkage was built")
 
@@ -313,6 +317,19 @@ class TestHostileInput:
         assert "'x'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["aggregate", "--typical-periods", "2"], ["pathway"]],
+                             ids=["aggregate", "pathway"])
+    def test_denormalized_overflow_is_data_error(self, argv, tmp_path, capsys):
+        # minmax offset and scale are finite, but scale + offset rounds up
+        # past the largest float when the top value is denormalized
+        path = tmp_path / "top.csv"
+        path.write_text(TOP_OF_RANGE)
+        out = tmp_path / "out"
+        assert quiet_main(argv + ["--input", str(path), "--out-dir", str(out),
+                                  "--period-length", "1"]) == 2
+        assert "'x'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_aggregate_checks_counts_before_the_linkage(self, tmp_path, monkeypatch,
                                                         capsys):
         path = tmp_path / "small.csv"
@@ -341,11 +358,12 @@ class TestHostileInput:
         assert not path.exists()
 
 
-# magnitudes up to 1e308, with subnormals and both zeros; each column
-# draws its values from one of these
-EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308])
-COLUMN_VALUES = [st.floats(-1e308, 1e308), st.floats(-1e3, 1e3),
-                 st.one_of(st.floats(-1e308, 1e308), st.floats(-1, 1), EXTREMES)]
+# magnitudes up to the largest finite float, with subnormals and both
+# zeros; each column draws its values from one of these
+LARGEST = float(np.finfo(np.float64).max)
+EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, LARGEST, -LARGEST])
+COLUMN_VALUES = [st.floats(-LARGEST, LARGEST), st.floats(-1e3, 1e3),
+                 st.one_of(st.floats(-LARGEST, LARGEST), st.floats(-1, 1), EXTREMES)]
 
 
 @st.composite
@@ -366,7 +384,9 @@ def frame_text(draw, n_rows, n_cols):
         if kind == "nearly":
             other = draw(st.one_of(st.sampled_from([np.inf, -np.inf]), values))
             if np.isinf(other):
-                other = float(np.nextafter(column[0], other))
+                # one ulp away; from the largest floats only inward
+                away = other if abs(column[0]) < LARGEST else -column[0]
+                other = float(np.nextafter(column[0], away))
             column[draw(st.integers(0, n_rows - 1))] = other
         columns.append(column)
     cell = draw(st.sampled_from([repr, "{:.10g}".format]))
@@ -450,6 +470,11 @@ class TestMainOnGeneratedInput:
               "x\n0\n0\n0\n0\n0\n"))
     @example((["metrics", "--normalization", "minmax"], "x\n-1e308\n1e308\n0\n1\n",
               "x\n-1e308\n1e308\n0\n1\n"))
+    # the top value rounds up past the largest float when denormalized
+    @example((["aggregate", "--normalization", "minmax", "--period-length", "1",
+               "--representation", "distribution", "--typical-periods", "2"], TOP_OF_RANGE, None))
+    @example((["pathway", "--normalization", "minmax", "--period-length", "1",
+               "--representation", "distribution"], TOP_OF_RANGE, None))
     def test_exits_cleanly_with_sound_artifacts(self, tmp_path_factory, run):
         argv, text, aggregated = run
         with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:

@@ -513,16 +513,6 @@ class TestSqDistances:
         assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()
         assert len(started) == 1
 
-    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 1, 3), (5, 90, 72), (2, 300, 24)])
-    def test_batch_matches_one_group_at_a_time(self, shape, monkeypatch):
-        x = np.random.default_rng(shape[1]).integers(0, 3, shape) * 0.7
-        for _ in each_worker_count(monkeypatch):
-            got = sq_distances(x)
-            assert got.shape == (shape[0], shape[1], shape[1])
-            for group, matrix in zip(x, got):
-                assert matrix.tobytes() == sq_distances(group).tobytes()
-                assert matrix.tobytes() == sq_distance_matrix(group).tobytes()
-
 
 def constant_columns(kind):
     """150 rows of 8 columns, some of them constant; "nearly" is constant
@@ -568,17 +558,6 @@ class TestConstantColumns:
         for _ in each_worker_count(monkeypatch):
             assert sq_distances(x).tobytes() == expected.tobytes()
 
-    def test_batched_groups(self, monkeypatch):
-        # column 0 is constant in every group, with a value per group;
-        # column 1 is the same in all groups; column 2 varies in group 1 only
-        x = np.random.default_rng(18).standard_normal((3, 140, 5))
-        x[:, :, 0] = [[1.0], [-2.0], [0.5]]
-        x[:, :, 1] = 0.25
-        x[[0, 2], :, 2] = 4.0
-        for _ in each_worker_count(monkeypatch):
-            for group, matrix in zip(x, sq_distances(x)):
-                assert matrix.tobytes() == sq_distance_matrix(group).tobytes()
-
 
 def grid_with_repeats(n_rows, seed):
     """n_rows integer 0..2 rows of 3 columns, drawn from 20 with repeats."""
@@ -601,7 +580,7 @@ class TestFirstNeighbours:
         sys.setswitchinterval(1e-5)
         try:
             for _ in each_worker_count(monkeypatch):
-                _, (near_d, near_r) = hierarchy._fill_distances(rows[None], nearest=True)
+                _, near_d, near_r = sq_distances(rows, nearest=True)
                 assert near_d.tolist() == want_d
                 assert near_r[:-1].tolist() == want_r[:-1]
         finally:

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from tsagg.core import to_periods
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import ward_linkage
-from tsagg.representation import REPRESENTATION_METHODS, represent
+from tsagg.hierarchy import sq_distances, ward_linkage
+from tsagg.representation import MEDOID_BROADCAST, REPRESENTATION_METHODS, represent
 
 from helpers import each_worker_count, periods_of
 from reference import distribution_group_means, distribution_profile, representatives
@@ -78,10 +78,11 @@ class TestMedoid:
             assert (rows == profiles[c].ravel()).all(axis=1).any()
 
     def test_blocked_equal_sized_clusters_match_reference(self, monkeypatch):
-        # three clusters of 400 periods, 24 steps x 3 attributes: the batched
-        # kernel runs one-row blocks. Each cluster is 200 integer rows and
-        # their mirror images 2 - x, so a row and its mirror tie on the
-        # distance sum, and only the lowest-index rule picks the medoid
+        # three clusters of 400 periods, 24 steps x 3 attributes: each takes
+        # the distance kernel, whose last block has one row. Each cluster is
+        # 200 integer rows and their mirror images 2 - x, so a row and its
+        # mirror tie on the distance sum, and only the lowest-index rule
+        # picks the medoid
         rng = np.random.default_rng(17)
         half = rng.integers(0, 3, (3, 200, 72)).astype(np.float64)
         rows = np.concatenate([half, 2 - half], axis=1).reshape(1200, 72)
@@ -91,6 +92,44 @@ class TestMedoid:
         expected = representatives(rows_of(periods), assignment, 24, "medoid")
         for _ in each_worker_count(monkeypatch):
             np.testing.assert_array_equal(represent(periods, assignment, "medoid"), expected)
+
+
+    @pytest.mark.parametrize("kind", ["normal", "mirrored-integer", "mirrored-normal"])
+    def test_both_sides_of_the_broadcast_bound_match_reference(self, kind, monkeypatch):
+        # 72 values a period: clusters of 44 exceed the bound and take the
+        # kernel, three clusters of 42 take one broadcast chunk each, and
+        # nine clusters of 12 share one chunk. Mirrored clusters hold rows
+        # x and c - x, whose exact distance sums tie: integer rows and
+        # c = 2 sum exactly, so the lowest index wins; normal rows and c = 0
+        # sum the same values in another order, so the rounding decides
+        sizes = [44] * 3 + [42] * 3 + [12] * 9
+        assert 42 * 42 * 72 <= MEDOID_BROADCAST < 43 * 43 * 72
+        rng = np.random.default_rng(21)
+        clusters = []
+        for size in sizes:
+            if kind == "normal":
+                clusters.append(rng.standard_normal((size, 72)))
+            elif kind == "mirrored-integer":
+                half = rng.integers(0, 3, (size // 2, 72)).astype(np.float64)
+                clusters.append(np.concatenate([half, 2 - half]))
+            else:
+                half = rng.standard_normal((size // 2, 72))
+                clusters.append(np.concatenate([half, -half]))
+        shuffle = rng.permutation(sum(sizes))
+        rows = np.concatenate(clusters)[shuffle]
+        assignment = np.repeat(np.arange(len(sizes)), sizes)[shuffle]
+        periods = rows.reshape(-1, 24, 3)
+        expected = representatives(rows, assignment, 24, "medoid").tobytes()
+        kernel_calls = []
+
+        def counted(samples):
+            kernel_calls.append(samples.shape[0])
+            return sq_distances(samples)
+
+        monkeypatch.setattr("tsagg.representation.sq_distances", counted)
+        for _ in each_worker_count(monkeypatch):
+            assert represent(periods, assignment, "medoid").tobytes() == expected
+        assert kernel_calls == [44] * 9
 
 
 class TestDistribution:
