@@ -19,19 +19,20 @@ keeps its merges as three arrays: the (id_a, id_b) pairs, the costs and
 the sizes of the new clusters.
 
 The period linkage is Müllner's generic algorithm ("Modern hierarchical,
-agglomerative clustering algorithms", arXiv:1109.2378). It keeps one n x n
-distance matrix, whose rows the merged clusters reuse, so it needs 8 n^2
-bytes; a run that would not fit in available memory fails with a ConfigError
-first. Each row caches its nearest cluster among larger ids. Each pass of
-the merge loop applies the run of merges it can prove come next, about 50
-passes for a year of days: each merge is the (cost, id_a, id_b) minimum at
-its step, and each distance the expression of one merge at a time on the
-same operands, so the bits are those of merging one pair at a time. The
-time is O(n^2) when few rows share a neighbour and O(n^3) at worst, when
-equal distances end every pass after one merge.
+agglomerative clustering algorithms", arXiv:1109.2378). It stores each
+pairwise distance once, the upper triangle of the distance matrix with its
+diagonal, whose rows the merged clusters reuse, so it needs 4 n (n + 1)
+bytes; a run that would not fit in available memory fails with a
+ConfigError first. Each row caches its nearest cluster among larger ids.
+Each pass of the merge loop applies the run of merges it can prove come
+next, about 50 passes for a year of days: each merge is the (cost, id_a,
+id_b) minimum at its step, and each distance the expression of one merge
+at a time on the same operands, so the bits are those of merging one pair
+at a time. The time is O(n^2) when few rows share a neighbour and O(n^3)
+at worst, when equal distances end every pass after one merge.
 
 The distance kernel is described at ``sq_distances``; the medoid
-representative calls it for its large clusters.
+representative takes its large clusters' distance sums from ``row_sums``.
 """
 
 from __future__ import annotations
@@ -104,8 +105,16 @@ THREAD_MIN_DIFFERENCES = 1 << 22
 CANDIDATES = 48
 
 
-def sq_distances(samples: np.ndarray, nearest: bool = False):
-    """Squared Euclidean distances between all rows, (n, D) -> (n, n).
+def sq_distances(samples: np.ndarray):
+    """Squared Euclidean distances between all rows, each stored once.
+
+    Returns (tri, base, near_d, near_r). tri holds the upper triangle of the
+    (n, n) distance matrix with its diagonal, n (n + 1) / 2 values row after
+    row, so row r holds columns r..n-1, and _position(base, r, c) is where
+    the distance of rows r and c sits, in either order. near_d and near_r
+    are the rows' first neighbours, the (distance, index) of the first
+    minimum among larger indices, with an infinite distance for the last
+    row.
 
     Each entry sums the squared attribute differences in column order, the
     order of scipy's ``cdist(..., "sqeuclidean")``, so the two agree bit for
@@ -114,14 +123,15 @@ def sq_distances(samples: np.ndarray, nearest: bool = False):
     sum, and a sum of squares, never -0.0, is unchanged by that.
 
     Rows go in blocks of 64, so a worker's two buffers hold 64 n values
-    each. A block fills its part of the upper triangle, and the lower
-    triangle is its mirror image. It goes column by column: it squares the
-    column's differences into one buffer and adds that to its sums in the
-    other, so each entry accumulates in column order, and every numpy call
-    releases the GIL, so the workers overlap. Numpy's iterator would copy a
-    broadcast operand through its buffer whenever a block row is shorter
-    than that buffer, which makes the subtraction several times slower;
-    there the kernel shrinks the buffer to the smallest size numpy takes.
+    each. A block computes its rows from their own index on and writes each
+    row's segment into the triangle. It goes column by column: it squares
+    the column's differences into one buffer and adds that to its sums in
+    the other, so each entry accumulates in column order, and every numpy
+    call releases the GIL, so the workers overlap. Numpy's iterator would
+    copy a broadcast operand through its buffer whenever a block row is
+    shorter than that buffer, which makes the subtraction several times
+    slower; there the kernel shrinks the buffer to the smallest size numpy
+    takes.
 
     The W workers are the CPUs the process may use, at most one per block
     and one per THREAD_MIN_DIFFERENCES differences the call computes, and
@@ -131,16 +141,14 @@ def sq_distances(samples: np.ndarray, nearest: bool = False):
     numpy's default error settings, as the linkage rules out overflow first
     and the medoid passes normalized periods; their exceptions are raised
     in the caller.
-
-    With ``nearest``, each block also finds its rows' first neighbours, the
-    (distance, index) of the first minimum among larger indices, with an
-    infinite distance for the last row, and the call returns the distances
-    and those two arrays.
     """
     n = samples.shape[0]
     keep = ~((samples == samples[:1]).all(axis=0) & np.isfinite(samples[0]))
     columns = np.ascontiguousarray(samples[:, keep].T)
-    out, near_d, near_r = np.empty((n, n)), np.empty(n), np.empty(n, dtype=np.int64)
+    r = np.arange(n)
+    base = r * (2 * n - r - 1) // 2  # row r starts at base[r] + r
+    tri = np.empty(n * (n + 1) // 2)
+    near_d, near_r = np.empty(n), np.empty(n, dtype=np.int64)
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     rows = min(64, n)
@@ -159,13 +167,14 @@ def sq_distances(samples: np.ndarray, nearest: bool = False):
                 b = min(rows, n - i)
                 acc = sums[:b * (n - i)].reshape(b, n - i)
                 _column_by_column(columns, i, acc, squares[:acc.size].reshape(acc.shape))
-                out[i:i + b, i:] = acc
-                out[i:, i:i + b] = acc.T
-                if nearest:
-                    acc[:, :b][below[:b, :b]] = np.inf
-                    k = acc.argmin(axis=1)
-                    near_r[i:i + b] = i + k
-                    near_d[i:i + b] = acc[np.arange(b), k]
+                start = int(base[i]) + i
+                for j in range(b):  # row i + j's segment, columns i + j..n-1
+                    tri[start:start + n - i - j] = acc[j, j:]
+                    start += n - i - j
+                acc[:, :b][below[:b, :b]] = np.inf
+                k = acc.argmin(axis=1)
+                near_r[i:i + b] = i + k
+                near_d[i:i + b] = acc[np.arange(b), k]
         except BaseException as exc:  # raised in the caller below
             errors.append(exc)
 
@@ -177,7 +186,33 @@ def sq_distances(samples: np.ndarray, nearest: bool = False):
         thread.join()
     if errors:
         raise errors[0]
-    return (out, near_d, near_r) if nearest else out
+    return tri, base, near_d, near_r
+
+
+def _position(base, r, c):
+    """Where the distance of rows r and c sits in the triangle, either order.
+
+    Row r starts at base[r] + r, so (r, c) with c >= r sits at base[r] + c;
+    for c > r the other candidate, base[c] + r, is never smaller.
+    """
+    pos = base[c] + r
+    return np.minimum(pos, base[r] + c, out=pos)
+
+
+def row_sums(samples: np.ndarray) -> np.ndarray:
+    """Each row's summed squared distance to all rows, (n, D) -> (n,).
+
+    The kernel's triangle expands 64 rows at a time into full rows, each
+    summed along its contiguous values, which gives the bits of the square
+    matrix's ``sum(axis=1)``.
+    """
+    tri, base = sq_distances(samples)[:2]
+    n = samples.shape[0]
+    columns, sums = np.arange(n), np.empty(n)
+    for i in range(0, n, 64):
+        rows = tri.take(_position(base, columns[i:i + 64, None], columns))
+        sums[i:i + 64] = rows.sum(axis=1)
+    return sums
 
 
 def _column_by_column(columns, i, acc, diff):
@@ -239,11 +274,11 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
         bound = 4.0 * n * n * np.square(samples.max(axis=0) - samples.min(axis=0)).sum()
     if not np.isfinite(bound):
         raise DataError("squared distances or merge costs could overflow; rescale the samples")
-    needed, free = 8 * n * n, available_memory()
+    needed, free = 4 * n * (n + 1), available_memory()
     if free is not None and needed > free:
         raise ConfigError(
             f"clustering {n} periods needs {needed / 1e6:.1f} MB for the "
-            f"distance matrix, but only {free / 1e6:.1f} MB of memory is available")
+            f"pairwise distances, but only {free / 1e6:.1f} MB of memory is available")
     return Linkage(*_generic_ward(samples))
 
 
@@ -261,8 +296,7 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     # one row per active cluster; the cluster born in a merge takes over
     # the row of id_a. Per row: its cluster id, size and cached neighbour,
     # the (distance, row) of the smallest (distance, id) among larger ids.
-    dist, near_d, near_r = sq_distances(samples, nearest=True)
-    flat = dist.reshape(-1)  # a block write takes one flat index faster
+    tri, base, near_d, near_r = sq_distances(samples)
     row_id = np.arange(n)
     size = np.ones(n)
     order = np.arange(n)  # active rows in increasing id order
@@ -272,9 +306,10 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     costs, sizes = np.empty(n - 1), np.empty(n - 1, dtype=np.int64)
     step = 0
     while step < n - 1:
-        a, b, new_d, new_new = _merge_batch(dist, size, row_id, order, near_d, near_r)
+        a, b, new_d, new_new = _merge_batch(tri, base, size, row_id, order, near_d, near_r)
         done = slice(step, step + a.size)
-        ids[done, 0], ids[done, 1], costs[done] = row_id[a], row_id[b], dist[a, b]
+        ids[done, 0], ids[done, 1] = row_id[a], row_id[b]
+        costs[done] = tri[_position(base, a, b)]
         size[a] += size[b]
         sizes[done] = size[a]
         row_id[a] = n + np.arange(step, step + a.size)
@@ -284,9 +319,8 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         stays = np.flatnonzero(~merged[order])
         rest, new_d = order[stays], new_d.take(stays, axis=1)
         low = np.tri(a.size, k=-1, dtype=bool)
-        flat[(a * n)[:, None] + rest] = new_d
-        flat[a[:, None] + rest * n] = new_d
-        flat[((a * n)[:, None] + a)[low]] = flat[(a[:, None] + a * n)[low]] = new_new[low]
+        tri[_position(base, a[:, None], rest)] = new_d
+        tri[_position(base, a[:, None], a)[low]] = new_new[low]
         # a new cluster's neighbour is the first minimum among the later ones
         first = new_new.argmin(axis=0)
         near_d[a], near_r[a] = new_new[first, np.arange(a.size)], a[first]
@@ -303,14 +337,14 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
             # each row's candidates, the larger ids, follow it in ``order``:
             # one gather from the first row's, masked before each row
             rows, after = order[at], order[at[0] + 1:]
-            scan = flat.take((rows * n)[:, None] + after)
+            scan = tri.take(_position(base, rows[:, None], after))
             scan[np.arange(after.size) < (at - at[0])[:, None]] = np.inf
             first = scan.argmin(axis=1)
             near_d[rows], near_r[rows] = scan[np.arange(rows.size), first], after[first]
     return ids, costs, sizes
 
 
-def _merge_batch(dist, size, row_id, order, near_d, near_r):
+def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
     """The merges that provably come next, and the new clusters' distances.
 
     Returns the rows a and b of those merges, in order; the new clusters'
@@ -334,13 +368,14 @@ def _merge_batch(dist, size, row_id, order, near_d, near_r):
     pos_a, a, b = pos[take], a[take], b[take]
     pos_b = np.searchsorted(row_id[order], row_id[b])
 
-    d, si, sj = dist[a, b][:, None], size[a][:, None], size[b][:, None]
+    d, si, sj = tri[_position(base, a, b)][:, None], size[a][:, None], size[b][:, None]
 
     def update(d_a, d_b, nm):  # the expression of one merge at a time
         return ((si + nm) * d_a + (sj + nm) * d_b - nm * d) / ((si + sj) + nm)
 
     earlier = np.tri(len(take), k=-1, dtype=bool)  # [u, s]: s < u
-    new_d = update(dist[a].take(order, axis=1), dist[b].take(order, axis=1), size[order])
+    rows = tri.take(_position(base, np.concatenate((a, b))[:, None], order))
+    new_d = update(rows[:a.size], rows[a.size:], size[order])
     # [s, u]: cluster s's distance to the rows a and b of merge u
     to_a, to_b = new_d[:, pos_a], new_d[:, pos_b]
     # [u, s]: the later cluster u's distance to s, as merge u computes it

@@ -18,9 +18,11 @@ weights are the cluster sizes, ``np.bincount(assignment)``. Centroid ranks
 are sorted descending and stable, ties resolving to the earlier time step;
 medoid ties resolve to the lowest period index. Clusters of equal size are
 computed together, one array pass per size. The medoid sums the rows of
-each cluster's distance matrix: small clusters take their distances in
-chunks of one broadcast subtraction each, and a large cluster takes them
-from the period linkage's distance kernel.
+each cluster's distance matrix, leaving out the columns that are constant
+over the clusters of a size, as they add zero: small clusters take their
+distances in chunks of one broadcast subtraction each, and a large cluster
+takes its sums from ``hierarchy.row_sums``, which expands the period
+linkage kernel's triangle of distances 64 rows at a time.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .hierarchy import sq_distances
+from .hierarchy import row_sums
 
 REPRESENTATION_METHODS = ("centroid", "medoid", "distribution")
 
@@ -78,11 +80,14 @@ def represent(periods: np.ndarray, assignment: np.ndarray, method: str) -> np.nd
     return profiles
 
 
-# the most differences a medoid takes in one broadcast chunk, 1 MB of them;
-# a larger cluster calls the distance kernel. On a shared two-CPU VM (medians
-# of 10-15 alternating unbounded medoid pathway searches), the kernel for
-# every cluster took 132 and 502 ms at 365 and 1,095 days against 71 and
-# 293 ms; bounds of 2^15 and 2^19 read within the spread of 2^17
+# the most differences a medoid takes in one broadcast chunk, 1 MB of them,
+# counting only the columns that vary over the clusters of one size; a larger
+# cluster takes its distance sums from the kernel's triangle. On a shared
+# two-CPU VM (medians of 200 interleaved calls) the 8-cluster medoid call of
+# perfbench's cli-batch, clusters of 25-63 days, took 5.0, 4.0, 3.0 and
+# 3.0 ms at 2^16, 2^17, 2^18 and 2^19, but at 2^18 its process peaked at
+# 34.2 MB against 33.2; unbounded medoid pathway searches read within their
+# spread, 164, 164 and 160 ms at 365 days for 2^17-2^19
 MEDOID_BROADCAST = 1 << 17
 
 
@@ -90,12 +95,19 @@ def _medoids(rows):
     """Per cluster of (g, m, D) member rows, the first minimum of its distance sums.
 
     Each distance adds its columns in order, and each sum runs along a row
-    of a C-contiguous matrix, as in the kernel and the oracle.
+    of a C-contiguous matrix, as in the kernel and the oracle. A column
+    that holds one finite value in every row of the group adds +0.0 to each
+    distance, so it is left out, as the kernel leaves it out, and does not
+    count towards the bound.
     """
-    g, m, d = rows.shape
-    if m * m * d > MEDOID_BROADCAST:
-        return [sq_distances(r).sum(axis=1).argmin() for r in rows]
-    columns, step = np.ascontiguousarray(rows.transpose(2, 0, 1)), MEDOID_BROADCAST // (m * m * d)
+    g, m, _ = rows.shape
+    keep = ~((rows == rows[:1, :1]).all(axis=(0, 1)) & np.isfinite(rows[0, 0]))
+    # a singleton, or a size whose periods are all equal, varies in no column
+    width = m * m * max(1, np.count_nonzero(keep))
+    if width > MEDOID_BROADCAST:
+        return [row_sums(r).argmin() for r in rows]
+    columns = np.ascontiguousarray(rows.transpose(2, 0, 1)[keep])
+    step = MEDOID_BROADCAST // width
     best = []
     for c in range(0, g, step):
         diff = columns[:, c:c + step, :, None] - columns[:, c:c + step, None, :]

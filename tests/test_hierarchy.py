@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 import threading
@@ -40,6 +41,16 @@ def assert_same_merges(linkage, expected):
     """The merge arrays equal the (ids, costs, sizes) arrays, bit for bit."""
     for got, want in zip((linkage.ids, linkage.costs, linkage.sizes), expected):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def triangle(matrix):
+    """The bytes of a square matrix's upper triangle with its diagonal, row after row."""
+    return matrix[np.triu_indices(len(matrix))].tobytes()
+
+
+def distances(x):
+    """The bytes of the kernel's stored distances of the rows of x."""
+    return sq_distances(x)[0].tobytes()
 
 
 def record_threads(monkeypatch):
@@ -301,9 +312,58 @@ class TestDenseEquality:
         assert 0 < len(passes) < len(rows) / 3
 
 
+def benchmark_frame(days, seed):
+    """(days * 24, 3) hourly solar, wind and load, seeded as perfbench seeds its inputs."""
+    s_solar, s_wind, s_load = (int(s) for s in np.random.SeedSequence(seed).generate_state(3))
+    return np.column_stack([solar_profile(days, s_solar), wind_profile(days, s_wind),
+                            load_profile(days, s_load)])
+
+
+# sha256 of ids, costs and sizes, one after the other, per (days, seed, normalization)
+LINKAGE_DIGESTS = {
+    (365, 0, "minmax"): "1dab126a61588971e39d2b4c2bae4f670ef93189fc19b0ee43af89799f5a9b43",
+    (365, 0, "znorm"): "09ed2da57b613cb4a88b1745afd087f3a94aceb2bccf89169a38a914262b8f3b",
+    (365, 1, "minmax"): "13dc716f5d71ea4166e76b54aa0463e3da9cf6f6e56bfd69b16d4217756cf51c",
+    (365, 1, "znorm"): "ff3c0e5269114bb69716381cbed7377a586e8f78e5f15af629451bd1326eb1a1",
+    (1095, 0, "minmax"): "b2fecb5a86874bacaf5ff9576fbcdb34b378d236192bd23f1922eb5aff6bede0",
+    (1095, 0, "znorm"): "b3167da7acece9199f798de515a73c2d548d05318a79b29931b13cb333b5586b",
+    (1095, 1, "minmax"): "a77ae9d5891917bcf272ebd6e8b1531e00eafb11edb1ef681e54a3adc11c2ace",
+    (1095, 1, "znorm"): "e596594ee17e5259594ecf1e699acbea4fd72b205febaa00b65352ef9b2a4f98",
+}
+
+
+class TestPinnedMerges:
+    """The period linkage of the benchmark's inputs keeps its bits."""
+
+    @pytest.mark.parametrize("days, seed, norm", sorted(LINKAGE_DIGESTS))
+    def test_digest(self, days, seed, norm):
+        rows = periods_of(benchmark_frame(days, seed), 24, norm).reshape(days, -1)
+        linkage = ward_linkage(rows)
+        digest = hashlib.sha256()
+        for merges in (linkage.ids, linkage.costs, linkage.sizes):
+            digest.update(merges.tobytes())
+        assert digest.hexdigest() == LINKAGE_DIGESTS[days, seed, norm]
+
+
+class TestTriangle:
+    def test_position_is_the_row_major_index(self):
+        # every (r, c), both orders, at the index of the upper triangle's
+        # row-major order that np.triu_indices gives
+        for n in range(1, 41):
+            base = sq_distances(np.zeros((n, 1)))[1]
+            index = np.empty((n, n), dtype=np.int64)
+            upper = np.triu_indices(n)
+            index[upper] = index[upper[::-1]] = np.arange(upper[0].size)
+            r, c = np.indices((n, n))
+            assert (hierarchy._position(base, r, c) == index).all()
+
+
 class TestMemory:
     def test_peak_is_one_square_matrix(self, monkeypatch):
-        n = 730
+        # the stored triangle takes half of the bound, and at this size the
+        # workers' blocks and the merge loop's row gathers stay within the
+        # other half; a square matrix alone would fill it
+        n = 1460
         rows = np.random.default_rng(11).standard_normal((n, 72))
         for _ in each_worker_count(monkeypatch):
             tracemalloc.start()
@@ -312,7 +372,7 @@ class TestMemory:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 3 * 8 * n * n
+            assert peak < 8 * n * n
 
     def test_available_memory_reads_meminfo(self, tmp_path, monkeypatch):
         meminfo = tmp_path / "meminfo"
@@ -343,11 +403,11 @@ class TestMemory:
         assert available_memory() is None
 
     def test_matrix_beyond_free_memory_is_config_error(self, monkeypatch):
-        # 8 * 25^2 bytes fit in 5,000; 8 * 26^2 do not
+        # 4 * 34 * 35 bytes fit in 5,000; 4 * 35 * 36 do not
         monkeypatch.setattr("tsagg.hierarchy.available_memory", lambda: 5_000)
-        ward_linkage(np.zeros((25, 1)))
+        ward_linkage(np.zeros((34, 1)))
         with pytest.raises(ConfigError, match="needs"):
-            ward_linkage(np.zeros((26, 1)))
+            ward_linkage(np.zeros((35, 1)))
 
 
 def tie_heavy_sixty():
@@ -469,21 +529,21 @@ class TestSqDistances:
         x = 3.1 * np.random.default_rng(shape[0]).standard_normal(shape)
         expected = cdist(x, x, "sqeuclidean")
         for _ in each_worker_count(monkeypatch):
-            assert sq_distances(x).tobytes() == expected.tobytes()
+            assert distances(x) == triangle(expected)
 
     def test_matches_cdist_on_integer_grids(self, monkeypatch):
         cdist = pytest.importorskip("scipy.spatial.distance").cdist
         x = np.random.default_rng(9).integers(0, 3, (300, 24)).astype(np.float64)
         expected = cdist(x, x, "sqeuclidean")
         for _ in each_worker_count(monkeypatch):
-            assert sq_distances(x).tobytes() == expected.tobytes()
+            assert distances(x) == triangle(expected)
 
     def test_matches_column_order_reference(self, monkeypatch):
         # runs without scipy: the definition, summed in the same order
         x = np.random.default_rng(10).standard_normal((50, 30))
         expected = sq_distance_matrix(x)
         for _ in each_worker_count(monkeypatch):
-            assert sq_distances(x).tobytes() == expected.tobytes()
+            assert distances(x) == triangle(expected)
 
     @pytest.mark.parametrize("cpu_count", [None, 3])
     def test_without_affinity_mask(self, monkeypatch, cpu_count):
@@ -493,7 +553,7 @@ class TestSqDistances:
         started = record_threads(monkeypatch)
         # differences for 3 workers, in 10 blocks
         x = np.random.default_rng(13).standard_normal((600, 72))
-        assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()
+        assert distances(x) == triangle(sq_distance_matrix(x))
         assert len(started) == (cpu_count or 1) - 1
 
     def test_small_input_starts_no_thread(self, monkeypatch):
@@ -507,10 +567,10 @@ class TestSqDistances:
         rng = np.random.default_rng(16)
         for rows in (31, n):
             x = rng.standard_normal((rows, 72))
-            assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()
+            assert distances(x) == triangle(sq_distance_matrix(x))
         assert started == []
         x = rng.standard_normal((n + 1, 72))
-        assert sq_distances(x).tobytes() == sq_distance_matrix(x).tobytes()
+        assert distances(x) == triangle(sq_distance_matrix(x))
         assert len(started) == 1
 
 
@@ -548,7 +608,7 @@ class TestConstantColumns:
         x = constant_columns(kind)
         expected = sq_distance_matrix(x)
         for _ in each_worker_count(monkeypatch):
-            assert sq_distances(x).tobytes() == expected.tobytes()
+            assert distances(x) == triangle(expected)
 
     @pytest.mark.parametrize("kind", ["first", "all", "signed-zero", "nearly"])
     def test_matches_cdist(self, kind, monkeypatch):
@@ -556,7 +616,7 @@ class TestConstantColumns:
         x = constant_columns(kind)
         expected = cdist(x, x, "sqeuclidean")
         for _ in each_worker_count(monkeypatch):
-            assert sq_distances(x).tobytes() == expected.tobytes()
+            assert distances(x) == triangle(expected)
 
 
 def grid_with_repeats(n_rows, seed):
@@ -580,7 +640,7 @@ class TestFirstNeighbours:
         sys.setswitchinterval(1e-5)
         try:
             for _ in each_worker_count(monkeypatch):
-                _, near_d, near_r = sq_distances(rows, nearest=True)
+                near_d, near_r = sq_distances(rows)[2:]
                 assert near_d.tolist() == want_d
                 assert near_r[:-1].tolist() == want_r[:-1]
         finally:

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from tsagg.core import to_periods
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import sq_distances, ward_linkage
+from tsagg.hierarchy import row_sums, ward_linkage
 from tsagg.representation import MEDOID_BROADCAST, REPRESENTATION_METHODS, represent
 
 from helpers import each_worker_count, periods_of
@@ -124,12 +124,43 @@ class TestMedoid:
 
         def counted(samples):
             kernel_calls.append(samples.shape[0])
-            return sq_distances(samples)
+            return row_sums(samples)
 
-        monkeypatch.setattr("tsagg.representation.sq_distances", counted)
+        monkeypatch.setattr("tsagg.representation.row_sums", counted)
         for _ in each_worker_count(monkeypatch):
             assert represent(periods, assignment, "medoid").tobytes() == expected
         assert kernel_calls == [44] * 9
+
+    @pytest.mark.parametrize("signed_zero", [False, True], ids=["zero", "signed-zero"])
+    def test_constant_columns_do_not_count_towards_the_bound(self, signed_zero,
+                                                            monkeypatch):
+        # three clusters of 44 periods of 24 steps x 3 attributes, whose
+        # first attribute is 0.0 in the first 12 hours of every period:
+        # 44 * 44 * 72 differences exceed the bound, 44 * 44 * 60 do not, so
+        # every cluster takes one broadcast chunk. Column 1 is constant in
+        # two clusters but not the third, so it stays. Mirrored integer
+        # rows tie exactly, and only the lowest-index rule picks the medoid
+        assert 44 * 44 * 60 <= MEDOID_BROADCAST < 44 * 44 * 72
+        rng = np.random.default_rng(23)
+        half = rng.integers(0, 3, (3, 22, 72)).astype(np.float64)
+        rows = np.concatenate([half, 2 - half], axis=1).reshape(132, 24, 3)
+        rows[:, :12, 0] = 0.0
+        if signed_zero:
+            rows[::3, :12, 0] = -0.0
+        rows[44:, 0, 1] = 1.0
+        shuffle = rng.permutation(132)
+        assignment = np.repeat(np.arange(3), 44)[shuffle]
+        periods = rows[shuffle]
+        expected = representatives(rows_of(periods), assignment, 24, "medoid").tobytes()
+        kernel_calls = []
+
+        def counted(samples):
+            kernel_calls.append(samples.shape[0])
+            return row_sums(samples)
+
+        monkeypatch.setattr("tsagg.representation.row_sums", counted)
+        assert represent(periods, assignment, "medoid").tobytes() == expected
+        assert kernel_calls == []
 
 
 class TestDistribution:
