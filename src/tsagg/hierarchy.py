@@ -31,14 +31,14 @@ at a time on the same operands, so the bits are those of merging one pair
 at a time. The time is O(n^2) when few rows share a neighbour and O(n^3)
 at worst, when equal distances end every pass after one merge.
 
-The distance kernel is described at ``sq_distances``; the medoid
-representative takes its large clusters' distance sums from ``row_sums``.
+The distance kernel is described at ``sq_distances``. Its column-by-column
+loop also gives the medoid representative the full distance rows of its
+large clusters.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,15 +88,6 @@ class Linkage:
         return label[inverse], roots[by_appearance]
 
 
-# the fewest differences a worker takes: two need about 480 rows of 72 values.
-# On a shared two-CPU VM (medians of 6-30 alternating one- and two-worker
-# calls of the linkage's distance pass on random rows), two workers lost at
-# 300 x 72 (8.0 -> 8.5 ms), broke even at 500-700 x 72, and read 60-67 ->
-# 45-69 ms at 1,095 x 72, 101-107 -> 71-75 ms at 1,460 x 72 and 565-630 ->
-# 334-388 ms at 8,760 x 3; with the other CPU busy they lost up to 1,460 x 72
-# (49 -> 51 ms, 78 -> 83 ms)
-THREAD_MIN_DIFFERENCES = 1 << 22
-
 # the most candidates a pass of the merge loop takes from the front of its
 # sorted rows. On a shared two-CPU VM (medians of 7 and 2 interleaved
 # runs), 16, 32, 48 and 96 took 122, 114, 118 and 119 ms to link 1,095
@@ -122,25 +113,9 @@ def sq_distances(samples: np.ndarray):
     ``==``, so 0.0 and -0.0 are one value) is left out: it adds +0.0 to each
     sum, and a sum of squares, never -0.0, is unchanged by that.
 
-    Rows go in blocks of 64, so a worker's two buffers hold 64 n values
-    each. A block computes its rows from their own index on and writes each
-    row's segment into the triangle. It goes column by column: it squares
-    the column's differences into one buffer and adds that to its sums in
-    the other, so each entry accumulates in column order, and every numpy
-    call releases the GIL, so the workers overlap. Numpy's iterator would
-    copy a broadcast operand through its buffer whenever a block row is
-    shorter than that buffer, which makes the subtraction several times
-    slower; there the kernel shrinks the buffer to the smallest size numpy
-    takes.
-
-    The W workers are the CPUs the process may use, at most one per block
-    and one per THREAD_MIN_DIFFERENCES differences the call computes, and
-    at least one. Worker w takes blocks w, w + W, ..., as the early blocks
-    are the widest. Every entry is the same expression whichever worker
-    computes it, so the bits do not depend on W. Helper threads run under
-    numpy's default error settings, as the linkage rules out overflow first
-    and the medoid passes normalized periods; their exceptions are raised
-    in the caller.
+    Rows go in blocks of 64 through two buffers of 64 n values. A block
+    computes its rows from their own index on with ``_column_by_column``
+    and writes each row's segment into the triangle.
     """
     n = samples.shape[0]
     keep = ~((samples == samples[:1]).all(axis=0) & np.isfinite(samples[0]))
@@ -149,43 +124,22 @@ def sq_distances(samples: np.ndarray):
     base = r * (2 * n - r - 1) // 2  # row r starts at base[r] + r
     tri = np.empty(n * (n + 1) // 2)
     near_d, near_r = np.empty(n), np.empty(n, dtype=np.int64)
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
     rows = min(64, n)
-    starts = range(0, n, rows)
-    workers = max(1, min(cpus, len(starts),
-                         columns.shape[0] * n * (n + 1) // 2 // THREAD_MIN_DIFFERENCES))
     below = np.tri(rows, dtype=bool)  # a row's own index and those below it
-    # threading only prints an uncaught exception, which would leave blocks unfilled
-    errors = []
-
-    def fill(worker):
-        try:
-            # sized for the first block, the widest
-            sums, squares = np.empty(rows * n), np.empty(rows * n)
-            for i in starts[worker::workers]:
-                b = min(rows, n - i)
-                acc = sums[:b * (n - i)].reshape(b, n - i)
-                _column_by_column(columns, i, acc, squares[:acc.size].reshape(acc.shape))
-                start = int(base[i]) + i
-                for j in range(b):  # row i + j's segment, columns i + j..n-1
-                    tri[start:start + n - i - j] = acc[j, j:]
-                    start += n - i - j
-                acc[:, :b][below[:b, :b]] = np.inf
-                k = acc.argmin(axis=1)
-                near_r[i:i + b] = i + k
-                near_d[i:i + b] = acc[np.arange(b), k]
-        except BaseException as exc:  # raised in the caller below
-            errors.append(exc)
-
-    helpers = [threading.Thread(target=fill, args=(w,)) for w in range(1, workers)]
-    for thread in helpers:
-        thread.start()
-    fill(0)
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
+    # sized for the first block, the widest
+    sums, squares = np.empty(rows * n), np.empty(rows * n)
+    for i in range(0, n, rows):
+        b = min(rows, n - i)
+        acc = sums[:b * (n - i)].reshape(b, n - i)
+        _column_by_column(columns, i, i, acc, squares[:acc.size].reshape(acc.shape))
+        start = int(base[i]) + i
+        for j in range(b):  # row i + j's segment, columns i + j..n-1
+            tri[start:start + n - i - j] = acc[j, j:]
+            start += n - i - j
+        acc[:, :b][below[:b, :b]] = np.inf
+        k = acc.argmin(axis=1)
+        near_r[i:i + b] = i + k
+        near_d[i:i + b] = acc[np.arange(b), k]
     return tri, base, near_d, near_r
 
 
@@ -199,30 +153,22 @@ def _position(base, r, c):
     return np.minimum(pos, base[r] + c, out=pos)
 
 
-def row_sums(samples: np.ndarray) -> np.ndarray:
-    """Each row's summed squared distance to all rows, (n, D) -> (n,).
+def _column_by_column(columns, i, first, acc, diff):
+    """Sum the squared differences of rows i.. and first.. into acc, (b, n - first).
 
-    The kernel's triangle expands 64 rows at a time into full rows, each
-    summed along its contiguous values, which gives the bits of the square
-    matrix's ``sum(axis=1)``.
+    columns is (D, n), one contiguous row per column. It goes column by
+    column: it squares the column's differences into diff and adds that to
+    acc, so each entry accumulates in column order. Numpy's iterator would
+    copy a broadcast operand through its buffer whenever a row of acc is
+    shorter than that buffer, which makes the subtraction several times
+    slower; so the loop shrinks the buffer to the smallest size numpy takes.
     """
-    tri, base = sq_distances(samples)[:2]
-    n = samples.shape[0]
-    columns, sums = np.arange(n), np.empty(n)
-    for i in range(0, n, 64):
-        rows = tri.take(_position(base, columns[i:i + 64, None], columns))
-        sums[i:i + 64] = rows.sum(axis=1)
-    return sums
-
-
-def _column_by_column(columns, i, acc, diff):
-    """Sum the squared column differences of rows i.. into acc, (b, n - i)."""
     b = acc.shape[0]
     acc.fill(0.0)
     buffer_size = np.setbufsize(16)
     try:
         for column in columns:
-            np.subtract(column[i:i + b, None], column[i:], out=diff)
+            np.subtract(column[i:i + b, None], column[first:], out=diff)
             np.multiply(diff, diff, out=diff)
             np.add(acc, diff, out=acc)
     finally:

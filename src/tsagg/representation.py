@@ -21,8 +21,8 @@ computed together, one array pass per size. The medoid sums the rows of
 each cluster's distance matrix, leaving out the columns that are constant
 over the clusters of a size, as they add zero: small clusters take their
 distances in chunks of one broadcast subtraction each, and a large cluster
-takes its sums from ``hierarchy.row_sums``, which expands the period
-linkage kernel's triangle of distances 64 rows at a time.
+streams its full distance rows 64 at a time through the period linkage
+kernel's column-by-column loop.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .hierarchy import row_sums
+from .hierarchy import _column_by_column
 
 REPRESENTATION_METHODS = ("centroid", "medoid", "distribution")
 
@@ -82,12 +82,12 @@ def represent(periods: np.ndarray, assignment: np.ndarray, method: str) -> np.nd
 
 # the most differences a medoid takes in one broadcast chunk, 1 MB of them,
 # counting only the columns that vary over the clusters of one size; a larger
-# cluster takes its distance sums from the kernel's triangle. On a shared
-# two-CPU VM (medians of 200 interleaved calls) the 8-cluster medoid call of
-# perfbench's cli-batch, clusters of 25-63 days, took 5.0, 4.0, 3.0 and
-# 3.0 ms at 2^16, 2^17, 2^18 and 2^19, but at 2^18 its process peaked at
-# 34.2 MB against 33.2; unbounded medoid pathway searches read within their
-# spread, 164, 164 and 160 ms at 365 days for 2^17-2^19
+# cluster streams its distance rows 64 at a time. On a shared two-CPU VM
+# (medians of 200 interleaved calls) the 8-cluster medoid call of perfbench's
+# cli-batch, clusters of 25-63 days, took 5.0, 4.0, 3.0 and 3.0 ms at 2^16,
+# 2^17, 2^18 and 2^19, but at 2^18 its process peaked at 34.2 MB against
+# 33.2; unbounded medoid pathway searches read within their spread, 164, 164
+# and 160 ms at 365 days for 2^17-2^19
 MEDOID_BROADCAST = 1 << 17
 
 
@@ -104,9 +104,9 @@ def _medoids(rows):
     keep = ~((rows == rows[:1, :1]).all(axis=(0, 1)) & np.isfinite(rows[0, 0]))
     # a singleton, or a size whose periods are all equal, varies in no column
     width = m * m * max(1, np.count_nonzero(keep))
-    if width > MEDOID_BROADCAST:
-        return [row_sums(r).argmin() for r in rows]
     columns = np.ascontiguousarray(rows.transpose(2, 0, 1)[keep])
+    if width > MEDOID_BROADCAST:
+        return [_distance_sums(columns[:, c]).argmin() for c in range(g)]
     step = MEDOID_BROADCAST // width
     best = []
     for c in range(0, g, step):
@@ -114,3 +114,18 @@ def _medoids(rows):
         diff *= diff
         best.extend(np.add.reduce(diff, axis=0).sum(axis=2).argmin(axis=1))
     return best
+
+
+def _distance_sums(columns):
+    """Each member's summed squared distance to all members, (D, m) -> (m,).
+
+    The full distance rows go 64 at a time through two (64, m) buffers, and
+    each sum runs along one contiguous row.
+    """
+    m = columns.shape[1]
+    sums, (acc, diff) = np.empty(m), np.empty((2, min(64, m), m))
+    for i in range(0, m, 64):
+        b = min(64, m - i)
+        _column_by_column(columns, i, 0, acc[:b], diff[:b])
+        acc[:b].sum(axis=1, out=sums[i:i + b])
+    return sums

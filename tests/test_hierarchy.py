@@ -1,6 +1,4 @@
 import hashlib
-import os
-import sys
 import threading
 import tracemalloc
 import warnings
@@ -19,11 +17,9 @@ from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
 from helpers import (
     chain_partition,
-    each_worker_count,
     merge_list,
     periods_of,
     segment_one,
-    use_cpus,
 )
 from reference import (
     best_partition,
@@ -64,6 +60,18 @@ def record_threads(monkeypatch):
 
     monkeypatch.setattr(threading, "Thread", Recorded)
     return started
+
+
+def record_calls(monkeypatch, module, name):
+    """The first arguments of the calls of module.name from now on, in a list."""
+    calls, function = [], getattr(module, name)
+
+    def recorded(first, *args):
+        calls.append(first)
+        return function(first, *args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
 
 
 def assert_same_partition(a, b):
@@ -116,35 +124,17 @@ class TestWardExamples:
                 ward_linkage([[0.0], [1e154], [1.0]])
 
     def test_overflow_in_a_helper_block_rejected(self, monkeypatch):
-        # 500 rows of 72 columns would take 2 workers, and blocks hold 64
-        # rows: rows 64-127 are block 1, the helper's, and only the pair
-        # (70, 300) overflows. The bound rejects the samples first.
-        use_cpus(monkeypatch, 2)
+        # 500 rows of 72 columns make 8 blocks of 64 rows, and only the pair
+        # (70, 300), across blocks 1 and 4, overflows. The bound rejects the
+        # samples before any distance is computed.
         x = np.random.default_rng(14).standard_normal((500, 72))
         x[70, 0], x[300, 0] = 1e154, -1e154
-        started = record_threads(monkeypatch)
+        calls = record_calls(monkeypatch, hierarchy, "sq_distances")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="overflow"):
                 ward_linkage(x)
-        assert started == []
-
-    def test_exception_in_a_helper_block_reaches_the_caller(self, monkeypatch):
-        # as above, block 1 is the helper's, and it goes column by column
-        use_cpus(monkeypatch, 2)
-        column_by_column, failed_in = hierarchy._column_by_column, []
-
-        def failing(columns, i, acc, diff):
-            if i == 64:
-                failed_in.append(threading.current_thread())
-                raise RuntimeError("block 64 failed")
-            column_by_column(columns, i, acc, diff)
-
-        monkeypatch.setattr(hierarchy, "_column_by_column", failing)
-        started = record_threads(monkeypatch)
-        with pytest.raises(RuntimeError, match="block 64 failed"):
-            ward_linkage(np.random.default_rng(14).standard_normal((500, 72)))
-        assert len(started) == 1 and failed_in == started
+        assert calls == []
 
 
 @st.composite
@@ -176,9 +166,7 @@ class TestOverflowBound:
     @settings(max_examples=150, deadline=None)
     @given(spread_samples())
     def test_links_inside_the_bound(self, x):
-        # one CPU: helper threads would not take the caller's error settings
-        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-            use_cpus(mp, 1)
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="raise", invalid="raise"):
                 linkage = ward_linkage(scaled_to_bound(x, 0.999))
@@ -188,12 +176,10 @@ class TestOverflowBound:
     @given(spread_samples())
     def test_rejected_outside_the_bound_before_any_thread(self, x):
         with pytest.MonkeyPatch.context() as mp:
-            use_cpus(mp, 2)
-            mp.setattr(hierarchy, "THREAD_MIN_DIFFERENCES", 1)
-            started = record_threads(mp)
+            calls = record_calls(mp, hierarchy, "sq_distances")
             with pytest.raises(DataError, match="overflow"):
                 ward_linkage(scaled_to_bound(x, 1.001))
-        assert started == []
+        assert calls == []
 
 
 # eight rows whose last two merges break the tie rule: (5, 11), (12, 13)
@@ -358,21 +344,31 @@ class TestTriangle:
             assert (hierarchy._position(base, r, c) == index).all()
 
 
+class TestSingleThread:
+    def test_linkage_and_streamed_medoid_start_no_thread(self, monkeypatch):
+        # a linkage of 1,460 x 72 rows, and one medoid cluster of 200
+        # periods of 72 values, past the broadcast bound, so it streams
+        started = record_threads(monkeypatch)
+        rng = np.random.default_rng(24)
+        ward_linkage(rng.standard_normal((1460, 72)))
+        represent(rng.standard_normal((200, 24, 3)), np.zeros(200, dtype=np.int64), "medoid")
+        assert started == []
+
+
 class TestMemory:
-    def test_peak_is_one_square_matrix(self, monkeypatch):
+    def test_peak_is_one_square_matrix(self):
         # the stored triangle takes half of the bound, and at this size the
-        # workers' blocks and the merge loop's row gathers stay within the
-        # other half; a square matrix alone would fill it
+        # kernel's block buffers and the merge loop's row gathers stay within
+        # the other half; a square matrix alone would fill it
         n = 1460
         rows = np.random.default_rng(11).standard_normal((n, 72))
-        for _ in each_worker_count(monkeypatch):
-            tracemalloc.start()
-            try:
-                ward_linkage(rows)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 8 * n * n
+        tracemalloc.start()
+        try:
+            ward_linkage(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
     def test_available_memory_reads_meminfo(self, tmp_path, monkeypatch):
         meminfo = tmp_path / "meminfo"
@@ -521,57 +517,21 @@ class TestMedoid:
 
 
 class TestSqDistances:
-    """Each test runs the kernel with 1, 2 and 3 workers."""
-
     @pytest.mark.parametrize("shape", [(1, 1), (7, 1), (200, 72), (1460, 72)])
-    def test_matches_cdist_on_random_rows(self, shape, monkeypatch):
+    def test_matches_cdist_on_random_rows(self, shape):
         cdist = pytest.importorskip("scipy.spatial.distance").cdist
         x = 3.1 * np.random.default_rng(shape[0]).standard_normal(shape)
-        expected = cdist(x, x, "sqeuclidean")
-        for _ in each_worker_count(monkeypatch):
-            assert distances(x) == triangle(expected)
+        assert distances(x) == triangle(cdist(x, x, "sqeuclidean"))
 
-    def test_matches_cdist_on_integer_grids(self, monkeypatch):
+    def test_matches_cdist_on_integer_grids(self):
         cdist = pytest.importorskip("scipy.spatial.distance").cdist
         x = np.random.default_rng(9).integers(0, 3, (300, 24)).astype(np.float64)
-        expected = cdist(x, x, "sqeuclidean")
-        for _ in each_worker_count(monkeypatch):
-            assert distances(x) == triangle(expected)
+        assert distances(x) == triangle(cdist(x, x, "sqeuclidean"))
 
-    def test_matches_column_order_reference(self, monkeypatch):
+    def test_matches_column_order_reference(self):
         # runs without scipy: the definition, summed in the same order
         x = np.random.default_rng(10).standard_normal((50, 30))
-        expected = sq_distance_matrix(x)
-        for _ in each_worker_count(monkeypatch):
-            assert distances(x) == triangle(expected)
-
-    @pytest.mark.parametrize("cpu_count", [None, 3])
-    def test_without_affinity_mask(self, monkeypatch, cpu_count):
-        # the CPU count stands in; None means unknown, so one worker
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        started = record_threads(monkeypatch)
-        # differences for 3 workers, in 10 blocks
-        x = np.random.default_rng(13).standard_normal((600, 72))
         assert distances(x) == triangle(sq_distance_matrix(x))
-        assert len(started) == (cpu_count or 1) - 1
-
-    def test_small_input_starts_no_thread(self, monkeypatch):
-        # 72 columns: the most rows whose differences do not fill two
-        # workers, and one more
-        use_cpus(monkeypatch, 3)
-        started = record_threads(monkeypatch)
-        n = 1
-        while 72 * (n + 1) * (n + 2) // 2 < 2 * hierarchy.THREAD_MIN_DIFFERENCES:
-            n += 1
-        rng = np.random.default_rng(16)
-        for rows in (31, n):
-            x = rng.standard_normal((rows, 72))
-            assert distances(x) == triangle(sq_distance_matrix(x))
-        assert started == []
-        x = rng.standard_normal((n + 1, 72))
-        assert distances(x) == triangle(sq_distance_matrix(x))
-        assert len(started) == 1
 
 
 def constant_columns(kind):
@@ -595,28 +555,19 @@ def constant_columns(kind):
 
 
 class TestConstantColumns:
-    """Dropping the constant columns keeps every bit, on 1, 2 and 3 workers."""
-
-    @pytest.fixture(autouse=True)
-    def every_call_threads(self, monkeypatch):
-        # 150 rows make 3 blocks; each may go to its own worker
-        monkeypatch.setattr(hierarchy, "THREAD_MIN_DIFFERENCES", 1)
+    """Dropping the constant columns keeps every bit."""
 
     @pytest.mark.parametrize("kind", ["first", "middle", "last", "all", "signed-zero",
                                       "one-varying", "nearly"])
-    def test_matches_reference(self, kind, monkeypatch):
+    def test_matches_reference(self, kind):
         x = constant_columns(kind)
-        expected = sq_distance_matrix(x)
-        for _ in each_worker_count(monkeypatch):
-            assert distances(x) == triangle(expected)
+        assert distances(x) == triangle(sq_distance_matrix(x))
 
     @pytest.mark.parametrize("kind", ["first", "all", "signed-zero", "nearly"])
-    def test_matches_cdist(self, kind, monkeypatch):
+    def test_matches_cdist(self, kind):
         cdist = pytest.importorskip("scipy.spatial.distance").cdist
         x = constant_columns(kind)
-        expected = cdist(x, x, "sqeuclidean")
-        for _ in each_worker_count(monkeypatch):
-            assert distances(x) == triangle(expected)
+        assert distances(x) == triangle(cdist(x, x, "sqeuclidean"))
 
 
 def grid_with_repeats(n_rows, seed):
@@ -632,16 +583,8 @@ class TestFirstNeighbours:
     @pytest.mark.parametrize("rows", [tie_heavy_sixty(), grid_with_repeats(200, 19),
                                       grid_with_repeats(150, 20)],
                              ids=["tie-heavy-sixty", "grid-200", "grid-150"])
-    def test_first_minimum_among_larger_indices(self, rows, monkeypatch):
-        monkeypatch.setattr(hierarchy, "THREAD_MIN_DIFFERENCES", 1)
+    def test_first_minimum_among_larger_indices(self, rows):
         want_d, want_r = first_neighbours(sq_distance_matrix(rows))
-        # the workers fill one pair of neighbour arrays; switch threads often
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for _ in each_worker_count(monkeypatch):
-                near_d, near_r = sq_distances(rows)[2:]
-                assert near_d.tolist() == want_d
-                assert near_r[:-1].tolist() == want_r[:-1]
-        finally:
-            sys.setswitchinterval(interval)
+        near_d, near_r = sq_distances(rows)[2:]
+        assert near_d.tolist() == want_d
+        assert near_r[:-1].tolist() == want_r[:-1]

@@ -4,13 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tsagg import representation
 from tsagg.core import to_periods
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import row_sums, ward_linkage
+from tsagg.hierarchy import ward_linkage
 from tsagg.representation import MEDOID_BROADCAST, REPRESENTATION_METHODS, represent
 
-from helpers import each_worker_count, periods_of
-from reference import distribution_group_means, distribution_profile, representatives
+from helpers import periods_of
+from reference import (
+    distribution_group_means,
+    distribution_profile,
+    representatives,
+    sq_distance_matrix,
+)
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 
@@ -18,6 +24,28 @@ finite = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinit
 def rows_of(periods):
     """The (P, T * N_a) row view the period linkage clusters."""
     return periods.reshape(periods.shape[0], -1)
+
+
+def count_streamed(monkeypatch):
+    """The member counts of the clusters that stream their distance sums, in a list."""
+    counts, distance_sums = [], representation._distance_sums
+
+    def counted(columns):
+        counts.append(columns.shape[1])
+        return distance_sums(columns)
+
+    monkeypatch.setattr(representation, "_distance_sums", counted)
+    return counts
+
+
+def mirrored_integer_rows(rng, m, width):
+    """m integer 0..2 rows, half of them the mirror images 2 - x of the others.
+
+    A row and its mirror tie exactly on the distance sum; a row of ones,
+    its own mirror, makes an odd m.
+    """
+    half = rng.integers(0, 3, (m // 2, width)).astype(np.float64)
+    return np.concatenate([half, 2 - half, np.ones((m % 2, width))])
 
 
 def clustered(values, steps, k):
@@ -77,12 +105,12 @@ class TestMedoid:
             rows = rows_of(periods)[np.flatnonzero(assignment == c)]
             assert (rows == profiles[c].ravel()).all(axis=1).any()
 
-    def test_blocked_equal_sized_clusters_match_reference(self, monkeypatch):
-        # three clusters of 400 periods, 24 steps x 3 attributes: each takes
-        # the distance kernel, whose last block has one row. Each cluster is
-        # 200 integer rows and their mirror images 2 - x, so a row and its
-        # mirror tie on the distance sum, and only the lowest-index rule
-        # picks the medoid
+    def test_blocked_equal_sized_clusters_match_reference(self):
+        # three clusters of 400 periods, 24 steps x 3 attributes: each
+        # streams its distance rows, in blocks of 64 and a last one of 16
+        # rows. Each cluster is 200 integer rows and their mirror images
+        # 2 - x, so a row and its mirror tie on the distance sum, and only
+        # the lowest-index rule picks the medoid
         rng = np.random.default_rng(17)
         half = rng.integers(0, 3, (3, 200, 72)).astype(np.float64)
         rows = np.concatenate([half, 2 - half], axis=1).reshape(1200, 72)
@@ -90,14 +118,12 @@ class TestMedoid:
         assignment = np.repeat(np.arange(3), 400)[shuffle]
         periods = to_periods(rows[shuffle].reshape(-1, 3), 24)
         expected = representatives(rows_of(periods), assignment, 24, "medoid")
-        for _ in each_worker_count(monkeypatch):
-            np.testing.assert_array_equal(represent(periods, assignment, "medoid"), expected)
-
+        np.testing.assert_array_equal(represent(periods, assignment, "medoid"), expected)
 
     @pytest.mark.parametrize("kind", ["normal", "mirrored-integer", "mirrored-normal"])
     def test_both_sides_of_the_broadcast_bound_match_reference(self, kind, monkeypatch):
-        # 72 values a period: clusters of 44 exceed the bound and take the
-        # kernel, three clusters of 42 take one broadcast chunk each, and
+        # 72 values a period: clusters of 44 exceed the bound and stream
+        # their rows, three clusters of 42 take one broadcast chunk each, and
         # nine clusters of 12 share one chunk. Mirrored clusters hold rows
         # x and c - x, whose exact distance sums tie: integer rows and
         # c = 2 sum exactly, so the lowest index wins; normal rows and c = 0
@@ -110,8 +136,7 @@ class TestMedoid:
             if kind == "normal":
                 clusters.append(rng.standard_normal((size, 72)))
             elif kind == "mirrored-integer":
-                half = rng.integers(0, 3, (size // 2, 72)).astype(np.float64)
-                clusters.append(np.concatenate([half, 2 - half]))
+                clusters.append(mirrored_integer_rows(rng, size, 72))
             else:
                 half = rng.standard_normal((size // 2, 72))
                 clusters.append(np.concatenate([half, -half]))
@@ -120,16 +145,9 @@ class TestMedoid:
         assignment = np.repeat(np.arange(len(sizes)), sizes)[shuffle]
         periods = rows.reshape(-1, 24, 3)
         expected = representatives(rows, assignment, 24, "medoid").tobytes()
-        kernel_calls = []
-
-        def counted(samples):
-            kernel_calls.append(samples.shape[0])
-            return row_sums(samples)
-
-        monkeypatch.setattr("tsagg.representation.row_sums", counted)
-        for _ in each_worker_count(monkeypatch):
-            assert represent(periods, assignment, "medoid").tobytes() == expected
-        assert kernel_calls == [44] * 9
+        streamed = count_streamed(monkeypatch)
+        assert represent(periods, assignment, "medoid").tobytes() == expected
+        assert streamed == [44] * 3
 
     @pytest.mark.parametrize("signed_zero", [False, True], ids=["zero", "signed-zero"])
     def test_constant_columns_do_not_count_towards_the_bound(self, signed_zero,
@@ -152,15 +170,28 @@ class TestMedoid:
         assignment = np.repeat(np.arange(3), 44)[shuffle]
         periods = rows[shuffle]
         expected = representatives(rows_of(periods), assignment, 24, "medoid").tobytes()
-        kernel_calls = []
-
-        def counted(samples):
-            kernel_calls.append(samples.shape[0])
-            return row_sums(samples)
-
-        monkeypatch.setattr("tsagg.representation.row_sums", counted)
+        streamed = count_streamed(monkeypatch)
         assert represent(periods, assignment, "medoid").tobytes() == expected
-        assert kernel_calls == []
+        assert streamed == []
+
+    @pytest.mark.parametrize("m", [44, 63, 64, 65, 130])
+    @pytest.mark.parametrize("kind", ["normal", "mirrored-integer"])
+    def test_streamed_sums_are_the_square_matrix_sums(self, m, kind):
+        # periods of 8 steps x 4 attributes: clusters of 44, 63 and 64 take
+        # the broadcast chunks and 65 and 130 stream, one or two blocks of
+        # 64 rows and a remainder. The sums keep the oracle's bits whichever
+        # path a cluster takes, and ties go to the lowest index
+        assert 64 * 64 * 32 <= MEDOID_BROADCAST < 65 * 65 * 32
+        rng = np.random.default_rng(m)
+        if kind == "normal":
+            rows = rng.standard_normal((m, 32))
+        else:
+            rows = mirrored_integer_rows(rng, m, 32)
+        sums = sq_distance_matrix(rows).sum(axis=1)
+        streamed = representation._distance_sums(np.ascontiguousarray(rows.T))
+        assert streamed.tobytes() == sums.tobytes()
+        profiles = represent(rows.reshape(m, 8, 4), np.zeros(m, dtype=np.int64), "medoid")
+        assert profiles.tobytes() == rows[sums.argmin()].tobytes()
 
 
 class TestDistribution:
