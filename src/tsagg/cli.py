@@ -24,7 +24,6 @@ import numpy as np
 from .core import (
     NORMALIZATION_METHODS,
     build_frame,
-    denormalize,
     normalize,
     rescale,
     validate_and_build,
@@ -165,14 +164,20 @@ def _frame(args: argparse.Namespace):
     dropped = values.shape[0] - periods.shape[0] * periods.shape[1]
     if dropped:
         print(f"note: dropped {dropped} trailing step(s)", file=sys.stderr)
-    return names, offset, scale, periods
+    return names, (offset, scale, values.min(axis=0), values.max(axis=0)), periods
 
 
-def _aggregate(args: argparse.Namespace, names, offset, scale, evaluator, p: int, s: int):
-    """Write the artifacts of configuration (p, s), every value checked first."""
+def _aggregate(args: argparse.Namespace, names, transform, evaluator, p: int, s: int):
+    """Write the artifacts of configuration (p, s), every value computed first."""
     assignment, layout, rec = evaluator.reconstruction(p, s, args.representation)
     report = build_report(evaluator.periods.reshape(rec.shape), rec, names, total_steps=p * s)
-    values = denormalize(layout.values.reshape(-1, len(names)), offset, scale, names)
+    offset, scale, low, high = transform
+    # x = normalized * scale + offset, as denormalize. A minmax scale rounded
+    # up can overflow the top value on the way back: a value that overflows
+    # takes its column's input bound, and every finite value keeps its bits
+    with np.errstate(over="ignore"):
+        values = layout.values.reshape(-1, len(names)) * scale + offset
+    np.copyto(values, np.where(values > 0, high, low), where=np.isinf(values))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_representatives(args.out_dir / "representatives.csv", np.bincount(assignment),
                           layout.lengths, values.reshape(layout.values.shape), names)
@@ -181,26 +186,26 @@ def _aggregate(args: argparse.Namespace, names, offset, scale, evaluator, p: int
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    names, offset, scale, periods = _frame(args)
+    names, transform, periods = _frame(args)
     p = args.typical_periods
     s = args.segments if args.segments is not None else periods.shape[1]
     # checked before the period linkage, the dominant cost
     for name, value, limit in (("p", p, periods.shape[0]), ("s", s, periods.shape[1])):
         if not 1 <= value <= limit:
             raise ConfigError(f"{name}={value} out of range [1, {limit}]")
-    _aggregate(args, names, offset, scale, ConfigEvaluator(periods), p, s)
+    _aggregate(args, names, transform, ConfigEvaluator(periods), p, s)
     return 0
 
 
 def cmd_pathway(args: argparse.Namespace) -> int:
-    names, offset, scale, periods = _frame(args)
+    names, transform, periods = _frame(args)
     if args.budget is not None and args.budget < 1:  # checked before the period linkage
         raise ConfigError(f"budget must be >= 1, got {args.budget}")
     evaluator = ConfigEvaluator(periods)
     trace = pathway_search(evaluator, args.representation, max_total_steps=args.budget)
     selected = trace[-1] if args.budget is None else select_config(trace, args.budget)
     # every value is checked before the first file is written
-    _aggregate(args, names, offset, scale, evaluator, selected.p, selected.s)
+    _aggregate(args, names, transform, evaluator, selected.p, selected.s)
     write_pathway(args.out_dir / "pathway.csv", trace)
     write_json(args.out_dir / "selected.json", {
         "typical_periods": selected.p,

@@ -29,11 +29,8 @@ next, about 50 passes for a year of days: each merge is the (cost, id_a,
 id_b) minimum at its step, and each distance the expression of one merge
 at a time on the same operands, so the bits are those of merging one pair
 at a time. The time is O(n^2) when few rows share a neighbour and O(n^3)
-at worst, when equal distances end every pass after one merge.
-
-The distance kernel is described at ``sq_distances``. Its column-by-column
-loop also gives the medoid representative the full distance rows of its
-large clusters.
+at worst, when equal distances end every pass after one merge. The
+distance kernel is described at ``sq_distances``.
 """
 
 from __future__ import annotations
@@ -114,8 +111,12 @@ def sq_distances(samples: np.ndarray):
     sum, and a sum of squares, never -0.0, is unchanged by that.
 
     Rows go in blocks of 64 through two buffers of 64 n values. A block
-    computes its rows from their own index on with ``_column_by_column``
-    and writes each row's segment into the triangle.
+    squares each column's differences from its rows' own index on into one
+    buffer and adds them to the other, so each entry accumulates in column
+    order, then writes each row's segment into the triangle. Numpy's
+    iterator would copy a broadcast operand through its buffer whenever a
+    row is shorter than that buffer, which makes the subtraction several
+    times slower; so the loop shrinks the buffer to the smallest numpy takes.
     """
     n = samples.shape[0]
     keep = ~((samples == samples[:1]).all(axis=0) & np.isfinite(samples[0]))
@@ -128,18 +129,27 @@ def sq_distances(samples: np.ndarray):
     below = np.tri(rows, dtype=bool)  # a row's own index and those below it
     # sized for the first block, the widest
     sums, squares = np.empty(rows * n), np.empty(rows * n)
-    for i in range(0, n, rows):
-        b = min(rows, n - i)
-        acc = sums[:b * (n - i)].reshape(b, n - i)
-        _column_by_column(columns, i, i, acc, squares[:acc.size].reshape(acc.shape))
-        start = int(base[i]) + i
-        for j in range(b):  # row i + j's segment, columns i + j..n-1
-            tri[start:start + n - i - j] = acc[j, j:]
-            start += n - i - j
-        acc[:, :b][below[:b, :b]] = np.inf
-        k = acc.argmin(axis=1)
-        near_r[i:i + b] = i + k
-        near_d[i:i + b] = acc[np.arange(b), k]
+    buffer_size = np.setbufsize(16)
+    try:
+        for i in range(0, n, rows):
+            b = min(rows, n - i)
+            acc = sums[:b * (n - i)].reshape(b, n - i)
+            diff = squares[:acc.size].reshape(acc.shape)
+            acc.fill(0.0)
+            for column in columns:
+                np.subtract(column[i:i + b, None], column[i:], out=diff)
+                np.multiply(diff, diff, out=diff)
+                np.add(acc, diff, out=acc)
+            start = int(base[i]) + i
+            for j in range(b):  # row i + j's segment, columns i + j..n-1
+                tri[start:start + n - i - j] = acc[j, j:]
+                start += n - i - j
+            acc[:, :b][below[:b, :b]] = np.inf
+            k = acc.argmin(axis=1)
+            near_r[i:i + b] = i + k
+            near_d[i:i + b] = acc[np.arange(b), k]
+    finally:
+        np.setbufsize(buffer_size)
     return tri, base, near_d, near_r
 
 
@@ -151,28 +161,6 @@ def _position(base, r, c):
     """
     pos = base[c] + r
     return np.minimum(pos, base[r] + c, out=pos)
-
-
-def _column_by_column(columns, i, first, acc, diff):
-    """Sum the squared differences of rows i.. and first.. into acc, (b, n - first).
-
-    columns is (D, n), one contiguous row per column. It goes column by
-    column: it squares the column's differences into diff and adds that to
-    acc, so each entry accumulates in column order. Numpy's iterator would
-    copy a broadcast operand through its buffer whenever a row of acc is
-    shorter than that buffer, which makes the subtraction several times
-    slower; so the loop shrinks the buffer to the smallest size numpy takes.
-    """
-    b = acc.shape[0]
-    acc.fill(0.0)
-    buffer_size = np.setbufsize(16)
-    try:
-        for column in columns:
-            np.subtract(column[i:i + b, None], column[first:], out=diff)
-            np.multiply(diff, diff, out=diff)
-            np.add(acc, diff, out=acc)
-    finally:
-        np.setbufsize(buffer_size)
 
 
 MEMINFO = "/proc/meminfo"
@@ -252,10 +240,10 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     costs, sizes = np.empty(n - 1), np.empty(n - 1, dtype=np.int64)
     step = 0
     while step < n - 1:
-        a, b, new_d, new_new = _merge_batch(tri, base, size, row_id, order, near_d, near_r)
+        a, b, cost, new_d, new_new = _merge_batch(tri, base, size, row_id, order, near_d, near_r)
         done = slice(step, step + a.size)
         ids[done, 0], ids[done, 1] = row_id[a], row_id[b]
-        costs[done] = tri[_position(base, a, b)]
+        costs[done] = cost
         size[a] += size[b]
         sizes[done] = size[a]
         row_id[a] = n + np.arange(step, step + a.size)
@@ -293,10 +281,10 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
     """The merges that provably come next, and the new clusters' distances.
 
-    Returns the rows a and b of those merges, in order; the new clusters'
-    distances to the rows of ``order``, inf at the rows that their own or
-    an earlier merge takes; and [u, s], the later cluster u's distance to s
-    by merge u, inf unless s < u.
+    Returns the rows a and b of those merges, in order; their costs; the
+    new clusters' distances to the rows of ``order``, inf at the rows that
+    their own or an earlier merge takes; and [u, s], the later cluster u's
+    distance to s by merge u, inf unless s < u.
     """
     # candidates: the first CANDIDATES rows in (cached distance, id) order,
     # as ``order`` is in id order; the cap keeps out the last row, whose
@@ -335,7 +323,7 @@ def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
     count = 1 + (d[1:, 0] < np.minimum.accumulate(reach)[:-1]).cumprod().sum()
     if count < len(take):  # a pair at merge t's cost may still come after it
         count = _tie_rule_count(new_d, new_new, to_a, to_b, d[:, 0], pos_a, pos_b)
-    return a[:count], b[:count], new_d[:count], new_new[:count, :count]
+    return a[:count], b[:count], d[:count, 0], new_d[:count], new_new[:count, :count]
 
 
 def _tie_rule_count(new_d, new_new, to_a, to_b, d, pos_a, pos_b):

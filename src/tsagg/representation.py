@@ -18,11 +18,8 @@ weights are the cluster sizes, ``np.bincount(assignment)``. Centroid ranks
 are sorted descending and stable, ties resolving to the earlier time step;
 medoid ties resolve to the lowest period index. Clusters of equal size are
 computed together, one array pass per size. The medoid sums the rows of
-each cluster's distance matrix, leaving out the columns that are constant
-over the clusters of a size, as they add zero: small clusters take their
-distances in chunks of one broadcast subtraction each, and a large cluster
-streams its full distance rows 64 at a time through the period linkage
-kernel's column-by-column loop.
+each cluster's distance matrix in bounded chunks, of whole clusters or of
+one cluster's rows.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .hierarchy import _column_by_column
 
 REPRESENTATION_METHODS = ("centroid", "medoid", "distribution")
 
@@ -59,7 +55,7 @@ def represent(periods: np.ndarray, assignment: np.ndarray, method: str) -> np.nd
         grouped = periods[members[starts[group, None] + np.arange(size)]]
         if method == "medoid":
             # the first minimum is the lowest period index, as members ascend
-            best = _medoids(grouped.reshape(group.size, size, steps * n_attrs))
+            best = _distance_sums(grouped.reshape(group.size, size, steps * n_attrs)).argmin(1)
             profiles[group] = grouped[np.arange(group.size), best]
             continue
         # reducing axis 1 sums the members in order, as a per-cluster mean does
@@ -80,52 +76,47 @@ def represent(periods: np.ndarray, assignment: np.ndarray, method: str) -> np.nd
     return profiles
 
 
-# the most differences a medoid takes in one broadcast chunk, 1 MB of them,
-# counting only the columns that vary over the clusters of one size; a larger
-# cluster streams its distance rows 64 at a time. On a shared two-CPU VM
-# (medians of 200 interleaved calls) the 8-cluster medoid call of perfbench's
-# cli-batch, clusters of 25-63 days, took 5.0, 4.0, 3.0 and 3.0 ms at 2^16,
-# 2^17, 2^18 and 2^19, but at 2^18 its process peaked at 34.2 MB against
-# 33.2; unbounded medoid pathway searches read within their spread, 164, 164
-# and 160 ms at 365 days for 2^17-2^19
+# the most differences a medoid chunk takes, 1 MB of them, counting only the
+# columns that vary over the clusters of one size. On a shared two-CPU VM
+# (medians of 300 interleaved calls) the 8-cluster medoid call of perfbench's
+# cli-batch, clusters of 25-63 days, took 2.39, 2.19, 2.18, 2.27 and 2.22 ms
+# at 2^15-2^19, whose chunk buffers peak at 0.33, 0.60, 1.14, 1.98 and 1.98 MB
 MEDOID_BROADCAST = 1 << 17
 
 
-def _medoids(rows):
-    """Per cluster of (g, m, D) member rows, the first minimum of its distance sums.
+def _distance_sums(rows):
+    """Each member's summed squared distance to its cluster, (g, m, D) -> (g, m).
 
-    Each distance adds its columns in order, and each sum runs along a row
-    of a C-contiguous matrix, as in the kernel and the oracle. A column
-    that holds one finite value in every row of the group adds +0.0 to each
-    distance, so it is left out, as the kernel leaves it out, and does not
-    count towards the bound.
+    A chunk holds whole clusters while one fits in MEDOID_BROADCAST
+    differences, else a block of one cluster's rows. One broadcast
+    subtraction, one square and one reduction over the columns give each
+    distance its columns' sum in order, and each sum runs along one
+    contiguous row of m distances, as the oracle's does. A column that holds
+    one finite value in every row of the group adds +0.0 to each distance,
+    so it is left out, as the kernel leaves it out, and does not count
+    towards the bound. The chunks run under numpy's smallest buffer, as the
+    kernel's subtraction does, for the same reason.
     """
     g, m, _ = rows.shape
     keep = ~((rows == rows[:1, :1]).all(axis=(0, 1)) & np.isfinite(rows[0, 0]))
-    # a singleton, or a size whose periods are all equal, varies in no column
-    width = m * m * max(1, np.count_nonzero(keep))
     columns = np.ascontiguousarray(rows.transpose(2, 0, 1)[keep])
-    if width > MEDOID_BROADCAST:
-        return [_distance_sums(columns[:, c]).argmin() for c in range(g)]
-    step = MEDOID_BROADCAST // width
-    best = []
-    for c in range(0, g, step):
-        diff = columns[:, c:c + step, :, None] - columns[:, c:c + step, None, :]
-        diff *= diff
-        best.extend(np.add.reduce(diff, axis=0).sum(axis=2).argmin(axis=1))
-    return best
-
-
-def _distance_sums(columns):
-    """Each member's summed squared distance to all members, (D, m) -> (m,).
-
-    The full distance rows go 64 at a time through two (64, m) buffers, and
-    each sum runs along one contiguous row.
-    """
-    m = columns.shape[1]
-    sums, (acc, diff) = np.empty(m), np.empty((2, min(64, m), m))
-    for i in range(0, m, 64):
-        b = min(64, m - i)
-        _column_by_column(columns, i, 0, acc[:b], diff[:b])
-        acc[:b].sum(axis=1, out=sums[i:i + b])
+    # a singleton, or a size whose periods are all equal, varies in no column
+    width = max(1, columns.shape[0]) * m  # the differences of one row
+    clusters, block = min(g, MEDOID_BROADCAST // (width * m)), m
+    if not clusters:  # a cluster above the bound goes in blocks of its rows
+        clusters, block = 1, max(1, MEDOID_BROADCAST // width)
+    sums = np.empty((g, m))
+    squares = np.empty(columns.shape[0] * clusters * block * m)
+    buffer_size = np.setbufsize(16)
+    try:
+        for c in range(0, g, clusters):
+            chunk = columns[:, c:c + clusters]
+            for i in range(0, m, block):
+                part = chunk[:, :, i:i + block, None]
+                diff = squares[:part.size * m].reshape(part.shape[:3] + (m,))
+                np.subtract(part, chunk[:, :, None, :], out=diff)
+                np.multiply(diff, diff, out=diff)
+                np.add.reduce(diff, axis=0).sum(axis=2, out=sums[c:c + clusters, i:i + block])
+    finally:
+        np.setbufsize(buffer_size)
     return sums

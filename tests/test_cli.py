@@ -319,16 +319,21 @@ class TestHostileInput:
 
     @pytest.mark.parametrize("argv", [["aggregate", "--typical-periods", "2"], ["pathway"]],
                              ids=["aggregate", "pathway"])
-    def test_denormalized_overflow_is_data_error(self, argv, tmp_path, capsys):
+    def test_denormalized_overflow_takes_the_input_bound(self, argv, tmp_path):
         # minmax offset and scale are finite, but scale + offset rounds up
-        # past the largest float when the top value is denormalized
+        # past the largest float when the top value is denormalized; the
+        # written values stay finite and inside the input's range
         path = tmp_path / "top.csv"
         path.write_text(TOP_OF_RANGE)
         out = tmp_path / "out"
         assert quiet_main(argv + ["--input", str(path), "--out-dir", str(out),
-                                  "--period-length", "1"]) == 2
-        assert "'x'" in capsys.readouterr().err
-        assert not out.exists()
+                                  "--period-length", "1"]) == 0
+        values = np.array([float(row["x"]) for row in read_rows(out / "representatives.csv")])
+        # the bounds as the writer prints them, to 12 digits, which keep the order
+        low, high = (float(f"{float(v):.12g}") for v in TOP_OF_RANGE.split()[1:])
+        assert np.isfinite(values).all()
+        assert ((low <= values) & (values <= high)).all()
+        assert values.max() == high
 
     def test_aggregate_checks_counts_before_the_linkage(self, tmp_path, monkeypatch,
                                                         capsys):

@@ -347,7 +347,7 @@ class TestTriangle:
 class TestSingleThread:
     def test_linkage_and_streamed_medoid_start_no_thread(self, monkeypatch):
         # a linkage of 1,460 x 72 rows, and one medoid cluster of 200
-        # periods of 72 values, past the broadcast bound, so it streams
+        # periods of 72 values, past the broadcast bound, so it splits into row blocks
         started = record_threads(monkeypatch)
         rng = np.random.default_rng(24)
         ward_linkage(rng.standard_normal((1460, 72)))

@@ -26,15 +26,22 @@ def rows_of(periods):
     return periods.reshape(periods.shape[0], -1)
 
 
-def count_streamed(monkeypatch):
-    """The member counts of the clusters that stream their distance sums, in a list."""
-    counts, distance_sums = [], representation._distance_sums
+def count_split(monkeypatch):
+    """The member counts of the medoid clusters split into row blocks, in a list.
 
-    def counted(columns):
-        counts.append(columns.shape[1])
-        return distance_sums(columns)
+    A chunk's subtraction writes (D', clusters, rows, m) differences. A
+    split cluster's first block starts at the cluster's first row, so its
+    two operands start at one address.
+    """
+    counts, subtract = [], np.subtract
 
-    monkeypatch.setattr(representation, "_distance_sums", counted)
+    def recorded(part, chunk, out):
+        rows, m = out.shape[2:]
+        if rows < m and part.ctypes.data == chunk.ctypes.data:
+            counts.append(m)
+        return subtract(part, chunk, out=out)
+
+    monkeypatch.setattr(np, "subtract", recorded)
     return counts
 
 
@@ -107,8 +114,7 @@ class TestMedoid:
 
     def test_blocked_equal_sized_clusters_match_reference(self):
         # three clusters of 400 periods, 24 steps x 3 attributes: each
-        # streams its distance rows, in blocks of 64 and a last one of 16
-        # rows. Each cluster is 200 integer rows and their mirror images
+        # splits into 100 row blocks of 4 rows. Each cluster is 200 integer rows and their mirror images
         # 2 - x, so a row and its mirror tie on the distance sum, and only
         # the lowest-index rule picks the medoid
         rng = np.random.default_rng(17)
@@ -122,8 +128,8 @@ class TestMedoid:
 
     @pytest.mark.parametrize("kind", ["normal", "mirrored-integer", "mirrored-normal"])
     def test_both_sides_of_the_broadcast_bound_match_reference(self, kind, monkeypatch):
-        # 72 values a period: clusters of 44 exceed the bound and stream
-        # their rows, three clusters of 42 take one broadcast chunk each, and
+        # 72 values a period: clusters of 44 exceed the bound and split into
+        # row blocks, three clusters of 42 take one broadcast chunk each, and
         # nine clusters of 12 share one chunk. Mirrored clusters hold rows
         # x and c - x, whose exact distance sums tie: integer rows and
         # c = 2 sum exactly, so the lowest index wins; normal rows and c = 0
@@ -145,9 +151,9 @@ class TestMedoid:
         assignment = np.repeat(np.arange(len(sizes)), sizes)[shuffle]
         periods = rows.reshape(-1, 24, 3)
         expected = representatives(rows, assignment, 24, "medoid").tobytes()
-        streamed = count_streamed(monkeypatch)
+        split = count_split(monkeypatch)
         assert represent(periods, assignment, "medoid").tobytes() == expected
-        assert streamed == [44] * 3
+        assert split == [44] * 3
 
     @pytest.mark.parametrize("signed_zero", [False, True], ids=["zero", "signed-zero"])
     def test_constant_columns_do_not_count_towards_the_bound(self, signed_zero,
@@ -170,17 +176,17 @@ class TestMedoid:
         assignment = np.repeat(np.arange(3), 44)[shuffle]
         periods = rows[shuffle]
         expected = representatives(rows_of(periods), assignment, 24, "medoid").tobytes()
-        streamed = count_streamed(monkeypatch)
+        split = count_split(monkeypatch)
         assert represent(periods, assignment, "medoid").tobytes() == expected
-        assert streamed == []
+        assert split == []
 
     @pytest.mark.parametrize("m", [44, 63, 64, 65, 130])
     @pytest.mark.parametrize("kind", ["normal", "mirrored-integer"])
     def test_streamed_sums_are_the_square_matrix_sums(self, m, kind):
         # periods of 8 steps x 4 attributes: clusters of 44, 63 and 64 take
-        # the broadcast chunks and 65 and 130 stream, one or two blocks of
-        # 64 rows and a remainder. The sums keep the oracle's bits whichever
-        # path a cluster takes, and ties go to the lowest index
+        # one chunk, and 65 and 130 split into row blocks, of 63 and 2 rows
+        # and of 31 rows four times and 6. The sums keep the oracle's bits
+        # whichever shape the chunks take, and ties go to the lowest index
         assert 64 * 64 * 32 <= MEDOID_BROADCAST < 65 * 65 * 32
         rng = np.random.default_rng(m)
         if kind == "normal":
@@ -188,10 +194,39 @@ class TestMedoid:
         else:
             rows = mirrored_integer_rows(rng, m, 32)
         sums = sq_distance_matrix(rows).sum(axis=1)
-        streamed = representation._distance_sums(np.ascontiguousarray(rows.T))
-        assert streamed.tobytes() == sums.tobytes()
+        assert representation._distance_sums(rows[None])[0].tobytes() == sums.tobytes()
         profiles = represent(rows.reshape(m, 8, 4), np.zeros(m, dtype=np.int64), "medoid")
         assert profiles.tobytes() == rows[sums.argmin()].tobytes()
+
+    @pytest.mark.parametrize("g, m, width", [(27, 12, 72), (2, 65, 32)],
+                             ids=["remainder-chunk", "short-last-block"])
+    @pytest.mark.parametrize("kind", ["normal", "mirrored-integer"])
+    def test_chunk_edges_keep_the_square_matrix_sums(self, g, m, width, kind):
+        # 27 clusters of 12 x 72 take chunks of 12, 12 and 3 whole clusters;
+        # each of two clusters of 65 x 32 splits into row blocks of 63 and 2
+        assert 12 * 12 * 12 * 72 <= MEDOID_BROADCAST < 13 * 12 * 12 * 72
+        assert 63 * 65 * 32 <= MEDOID_BROADCAST < 64 * 65 * 32
+        rng = np.random.default_rng(g)
+        if kind == "normal":
+            rows = rng.standard_normal((g, m, width))
+        else:
+            rows = np.stack([mirrored_integer_rows(rng, m, width) for _ in range(g)])
+        sums = representation._distance_sums(rows)
+        for c in range(g):
+            assert sums[c].tobytes() == sq_distance_matrix(rows[c]).sum(axis=1).tobytes()
+
+    @pytest.mark.parametrize("m", [5, 400])
+    def test_no_varying_column_sums_to_zero(self, m):
+        # two clusters whose members are all equal, 0.0 and -0.0 comparing
+        # equal: every sum is 0, and the first member wins. 400 members
+        # split into row blocks even with no column
+        rows = np.full((2, m, 6), 0.5)
+        rows[:, ::2, 0] = 0.0
+        rows[:, 1::2, 0] = -0.0
+        assert representation._distance_sums(rows).tobytes() == np.zeros((2, m)).tobytes()
+        assignment = np.repeat(np.arange(2), m)
+        profiles = represent(rows.reshape(2 * m, 2, 3), assignment, "medoid")
+        assert profiles.tobytes() == rows[:, 0].reshape(2, 2, 3).tobytes()
 
 
 class TestDistribution:
