@@ -24,11 +24,12 @@ import numpy as np
 from .core import (
     NORMALIZATION_METHODS,
     build_frame,
+    denormalize,
     normalize,
     rescale,
     validate_and_build,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count
 from .metrics import build_report
 from .pathway import ConfigEvaluator, PathwayState, pathway_search, select_config
 from .representation import REPRESENTATION_METHODS
@@ -164,20 +165,14 @@ def _frame(args: argparse.Namespace):
     dropped = values.shape[0] - periods.shape[0] * periods.shape[1]
     if dropped:
         print(f"note: dropped {dropped} trailing step(s)", file=sys.stderr)
-    return names, (offset, scale, values.min(axis=0), values.max(axis=0)), periods
+    return names, (offset, scale), periods
 
 
 def _aggregate(args: argparse.Namespace, names, transform, evaluator, p: int, s: int):
     """Write the artifacts of configuration (p, s), every value computed first."""
     assignment, layout, rec = evaluator.reconstruction(p, s, args.representation)
     report = build_report(evaluator.periods.reshape(rec.shape), rec, names, total_steps=p * s)
-    offset, scale, low, high = transform
-    # x = normalized * scale + offset, as denormalize. A minmax scale rounded
-    # up can overflow the top value on the way back: a value that overflows
-    # takes its column's input bound, and every finite value keeps its bits
-    with np.errstate(over="ignore"):
-        values = layout.values.reshape(-1, len(names)) * scale + offset
-    np.copyto(values, np.where(values > 0, high, low), where=np.isinf(values))
+    values = denormalize(layout.values.reshape(-1, len(names)), *transform)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_representatives(args.out_dir / "representatives.csv", np.bincount(assignment),
                           layout.lengths, values.reshape(layout.values.shape), names)
@@ -187,12 +182,10 @@ def _aggregate(args: argparse.Namespace, names, transform, evaluator, p: int, s:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     names, transform, periods = _frame(args)
-    p = args.typical_periods
-    s = args.segments if args.segments is not None else periods.shape[1]
+    n_periods, steps = periods.shape[:2]
     # checked before the period linkage, the dominant cost
-    for name, value, limit in (("p", p, periods.shape[0]), ("s", s, periods.shape[1])):
-        if not 1 <= value <= limit:
-            raise ConfigError(f"{name}={value} out of range [1, {limit}]")
+    p = check_count(args.typical_periods, "p", n_periods)
+    s = check_count(steps if args.segments is None else args.segments, "s", steps)
     _aggregate(args, names, transform, ConfigEvaluator(periods), p, s)
     return 0
 

@@ -86,29 +86,29 @@ def rescale(x: np.ndarray, offset: np.ndarray, scale: np.ndarray, names=None) ->
     """(x - offset) / scale per column; a non-finite offset, scale or result is a DataError."""
     with np.errstate(all="ignore"):
         out = (x - offset) / scale
-    _check_finite(np.isfinite(out).all(axis=0) & np.isfinite(offset) & np.isfinite(scale),
-                  names, "normalize")
+    finite = np.isfinite(out).all(axis=0) & np.isfinite(offset) & np.isfinite(scale)
+    if not finite.all():
+        name = (names or range(finite.size))[np.argmin(finite)]
+        raise DataError(f"attribute {name!r} does not normalize to finite values")
     return out
 
 
-def denormalize(values: np.ndarray, offset: np.ndarray, scale: np.ndarray,
-                names=None) -> np.ndarray:
-    """Invert :func:`normalize`, x = normalized * scale + offset, which must be finite."""
+def denormalize(values: np.ndarray, offset: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Invert :func:`normalize`, x = normalized * scale + offset.
+
+    A value that overflows takes the largest float of its sign, and every
+    finite value keeps its bits. A minmax scale rounded up can carry a
+    column's top value past the largest float on the way back, but only
+    where that top value is the largest float, the column's own bound.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[1] != offset.shape[0]:
         raise DataError(
             f"expected (n, {offset.shape[0]}) matrix, got shape {values.shape}")
     with np.errstate(all="ignore"):
         out = values * scale + offset
-    _check_finite(np.isfinite(out).all(axis=0), names, "denormalize")
-    return out
-
-
-def _check_finite(finite: np.ndarray, names, verb: str) -> None:
-    """A DataError naming the first attribute, or its index, that is not finite."""
-    if not finite.all():
-        name = (names or range(finite.size))[np.argmin(finite)]
-        raise DataError(f"attribute {name!r} does not {verb} to finite values")
+    top = np.finfo(np.float64).max
+    return np.clip(out, -top, top, out=out)
 
 
 def to_periods(normalized: np.ndarray, steps: int, drop_trailing: bool = False) -> np.ndarray:

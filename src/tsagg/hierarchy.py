@@ -40,12 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_count
 
 
 @dataclass(frozen=True, eq=False)
 class Linkage:
-    """Deterministic merge history; cut at any cluster count it reached.
+    """Deterministic merge history; cut at any cluster count from n down to 1.
 
     n samples take n - 1 merges. Merge m joins the clusters
     ids[m] = (id_a, id_b), id_a < id_b, at cost costs[m] into the cluster
@@ -65,12 +65,10 @@ class Linkage:
         or n + m for the cluster born in merge m. Sizes: np.bincount(assignment).
         """
         n = self.ids.shape[0] + 1
-        if not 1 <= k <= n:
-            raise ConfigError(f"k={k} out of range [1, {n}]")
-        n_merges = n - k
+        n_merges = n - check_count(k, "k", n)
         parent = np.arange(n + n_merges)
         parent[self.ids[:n_merges]] = np.arange(n, n + n_merges)[:, None]
-        # pointer jumping: each pass doubles how far every pointer reaches
+        # pointer jumping: each pass doubles the span every pointer covers
         while True:
             up = parent[parent]
             if np.array_equal(up, parent):
@@ -282,9 +280,8 @@ def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
     """The merges that provably come next, and the new clusters' distances.
 
     Returns the rows a and b of those merges, in order; their costs; the
-    new clusters' distances to the rows of ``order``, inf at the rows that
-    their own or an earlier merge takes; and [u, s], the later cluster u's
-    distance to s by merge u, inf unless s < u.
+    new clusters' distances to the rows of ``order``; and [u, s], the later
+    cluster u's distance to s by merge u, inf unless s < u.
     """
     # candidates: the first CANDIDATES rows in (cached distance, id) order,
     # as ``order`` is in id order; the cap keeps out the last row, whose
@@ -299,8 +296,9 @@ def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
             break
         seen.update((row, neighbour))
         take.append(t)
-    pos_a, a, b = pos[take], a[take], b[take]
-    pos_b = np.searchsorted(row_id[order], row_id[b])
+    a, b = a[take], b[take]
+    # the merges' rows in ``order``: the rows a, then the rows b
+    at = np.concatenate((pos[take], np.searchsorted(row_id[order], row_id[b])))
 
     d, si, sj = tri[_position(base, a, b)][:, None], size[a][:, None], size[b][:, None]
 
@@ -310,45 +308,38 @@ def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
     earlier = np.tri(len(take), k=-1, dtype=bool)  # [u, s]: s < u
     rows = tri.take(_position(base, np.concatenate((a, b))[:, None], order))
     new_d = update(rows[:a.size], rows[a.size:], size[order])
-    # [s, u]: cluster s's distance to the rows a and b of merge u
-    to_a, to_b = new_d[:, pos_a], new_d[:, pos_b]
+    # [s, j]: cluster s's distance to the row at[j]
+    to_rows = new_d[:, at]
     # [u, s]: the later cluster u's distance to s, as merge u computes it
-    new_new = np.where(earlier, update(to_a.T, to_b.T, (si + sj).T), np.inf)
-
-    # merge t stands if every pair with a cluster s < t of the pass costs
-    # more; cluster s meets no row that its own or an earlier merge takes
-    s, u = np.nonzero(~earlier.T)
-    new_d[s, pos_a[u]] = new_d[s, pos_b[u]] = np.inf
-    reach = np.minimum(new_d.min(axis=1), new_new.min(axis=1))
-    count = 1 + (d[1:, 0] < np.minimum.accumulate(reach)[:-1]).cumprod().sum()
-    if count < len(take):  # a pair at merge t's cost may still come after it
-        count = _tie_rule_count(new_d, new_new, to_a, to_b, d[:, 0], pos_a, pos_b)
+    to_a, to_b = to_rows.T[:a.size], to_rows.T[a.size:]
+    new_new = np.where(earlier, update(to_a, to_b, (si + sj).T), np.inf)
+    count = _tie_rule_count(new_d, new_new, to_rows, d[:, 0], at)
     return a[:count], b[:count], d[:count, 0], new_d[:count], new_new[:count, :count]
 
 
-def _tie_rule_count(new_d, new_new, to_a, to_b, d, pos_a, pos_b):
-    """How many merges of a pass stand by the tie rule, not by cost alone.
+def _tie_rule_count(new_d, new_new, to_rows, d, at):
+    """How many merges of a pass stand by the tie rule.
 
     Merge t stands unless a pair with a cluster s < t of the pass comes
     first. New ids are the largest, so on a tie only a row of smaller id
     than merge t's comes first, never a new cluster. Cluster s meets the
     rows no merge of the pass takes (its first minimum decides), the new
-    clusters before it and the rows of merges u >= t; d is the costs.
+    clusters before it and the rows of merges u >= t; d is the costs, and
+    at the merges' rows in ``order``, the rows a, then the rows b.
     """
-    def ahead(cost, at):  # [., t]: whether (cost, position) comes before merge t
-        return (cost < d) | (cost == d) & (at < pos_a)
+    def ahead(cost, pos):  # [., t]: whether (cost, position) comes before merge t
+        return (cost < d) | (cost == d) & (pos < at[:d.size])
 
-    free = np.ones(new_d.shape[1], dtype=bool)
-    free[pos_a] = free[pos_b] = False
-    rest = np.where(free, new_d, np.inf)
+    rest = new_d.copy()
+    rest[:, at] = np.inf
     first = rest.argmin(axis=1)
     k = np.arange(d.size)
     stops = ahead(rest[k, first][:, None], first[:, None]) | (new_new.min(axis=1)[:, None] < d)
     stops = (stops & (k[:, None] < k)).any(axis=0)
-    # [s, j] for the rows j of the merges: only costs up to the last merge's
+    # [s, j] for the merges' rows at[j]: only costs up to the last merge's
     # can come first
-    to_rows, at, u = np.hstack((to_a, to_b)), np.hstack((pos_a, pos_b)), np.tile(k, 2)
     s, j = np.nonzero(to_rows <= d[-1])
+    u = j % d.size  # the merge that takes row at[j]
     stops |= (ahead(to_rows[s, j][:, None], at[j][:, None])
-              & (s[:, None] < k) & (k <= u[j][:, None])).any(axis=0)
+              & (s[:, None] < k) & (k <= u[:, None])).any(axis=0)
     return np.append(stops, True).argmax()  # no pair comes before merge 0

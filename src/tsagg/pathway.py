@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError, check_count
 from .hierarchy import Linkage, ward_linkage
 from .metrics import reconstruct, rmse_tot
 from .representation import represent
@@ -93,6 +93,8 @@ class ConfigEvaluator:
     """
 
     def __init__(self, periods: np.ndarray):
+        if np.ndim(periods) != 3 or 0 in np.shape(periods):
+            raise DataError(f"periods must be a (P, T, N_a) array, got shape {np.shape(periods)}")
         self.periods = periods
         self.period_linkage: Linkage = ward_linkage(periods.reshape(len(periods), -1))
         self._cuts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -110,7 +112,7 @@ class ConfigEvaluator:
             np.zeros(n_nodes, dtype=bool), np.empty((n_nodes, steps, n_attrs)),
             np.empty((n_nodes, steps - 1), dtype=np.int64))
         done, cuts = old.copy(), {}
-        for p in sorted(set(counts)):
+        for p in sorted({check_count(p, "p", len(self.periods)) for p in counts}):
             cuts[p] = assignment, nodes = self._cuts.get(p) or self.period_linkage.cut(p)
             new = np.flatnonzero(~done[nodes])
             if new.size:
@@ -130,6 +132,7 @@ class ConfigEvaluator:
     def reconstruction(self, p: int, s: int,
                        method: str) -> tuple[np.ndarray, SegmentLayout, np.ndarray]:
         """Cluster assignment, segmented representatives and full-length reconstruction."""
+        p, s = check_count(p, "p", len(self.periods)), check_count(s, "s", self.periods.shape[1])
         self.prepare([p], method)
         assignment, nodes = self._cuts[p]
         _, profiles, ranks = self._nodes[method]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError, check_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +103,7 @@ def cut_layout(profiles: np.ndarray, ranks: np.ndarray, n_segments: int) -> Segm
     """Cut k merge orders at n_segments and average each run of steps."""
     profiles = np.asarray(profiles, dtype=np.float64)
     k, steps, n_attrs = profiles.shape
-    if not 1 <= n_segments <= steps:
-        raise ConfigError(f"n_segments={n_segments} out of range [1, {steps}]")
+    n_segments = check_count(n_segments, "n_segments", steps)
     _, bounds = np.nonzero(ranks >= steps - n_segments)
     edges = np.zeros((k, n_segments + 1), dtype=np.int64)
     edges[:, 1:-1] = bounds.reshape(k, n_segments - 1) + 1

@@ -130,6 +130,16 @@ class TestDenormalize:
         with pytest.raises(DataError):
             denormalize(np.zeros((2, 3)), offset, scale)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["top", "bottom"])
+    def test_overflow_takes_the_largest_float_of_its_sign(self, sign):
+        # minmax rounds this column's scale up to the largest float, so its
+        # top value, 1, overflows on the way back; the mirrored column's frame
+        # has the offset -MAX, and -1 overflows it the other way
+        column = sign * np.array([[2.9937604643020797e+292], [1.7976931348623157e+308]])
+        _, offset, scale = normalize(validated(column), "minmax")
+        restored = denormalize(np.array([[sign]]), offset, scale)
+        assert restored.tolist() == [[sign * np.finfo(np.float64).max]]
+
     @settings(max_examples=60, deadline=None)
     @given(matrices(), st.sampled_from(["minmax", "znorm"]))
     def test_round_trip(self, values, method):

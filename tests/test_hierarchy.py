@@ -432,6 +432,14 @@ class TestCut:
         np.testing.assert_array_equal(linkage.cut(60)[1], np.arange(60))
         assert linkage.cut(1)[1].tolist() == [118]
 
+    def test_counts_must_be_integers(self):
+        linkage = ward_linkage(tie_heavy_sixty())
+        for k in (2.0, 2.5, "2"):
+            with pytest.raises(ConfigError, match="is not an integer"):
+                linkage.cut(k)
+        for got, expected in zip(linkage.cut(np.int64(7)), linkage.cut(7)):
+            np.testing.assert_array_equal(got, expected)
+
 
 class TestLinkageProperties:
     def test_run_to_completion_has_n_minus_1_merges(self):

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 
 from tsagg import pathway
-from tsagg.errors import ConfigError
+from tsagg.errors import ConfigError, DataError
 from tsagg.hierarchy import ward_linkage
 from tsagg.metrics import reconstruct, rmse_tot
 from tsagg.pathway import (
@@ -81,6 +81,32 @@ class TestEvaluateConfig:
             evaluator.evaluate(0, 1, "centroid")
         with pytest.raises(ConfigError):
             evaluator.evaluate(1, 99, "centroid")
+
+    @pytest.mark.parametrize("counts", [(2.0, 2), (2.5, 2), (2, 2.0), (2, 2.5)])
+    def test_counts_are_checked_before_the_cut_cache(self, counts):
+        # the warm evaluator has cut 2 cached, under a key that 2.0 equals
+        periods = small_periods(n_periods=10, steps=3, n_attrs=2)
+        fresh, warm = ConfigEvaluator(periods), ConfigEvaluator(periods)
+        expected = warm.evaluate(2, 2, "centroid")
+        messages = []
+        for evaluator in (fresh, warm):
+            with pytest.raises(ConfigError, match="is not an integer") as caught:
+                evaluator.evaluate(*counts, "centroid")
+            messages.append(str(caught.value))
+            assert evaluator.evaluate(np.int64(2), np.int64(2), "centroid") == expected
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("p", [2.0, 2.5])
+    def test_prepare_checks_counts_before_the_cut_cache(self, p):
+        evaluator = ConfigEvaluator(small_periods(n_periods=10, steps=3, n_attrs=2))
+        evaluator.prepare([2], "centroid")
+        with pytest.raises(ConfigError, match="is not an integer"):
+            evaluator.prepare([3, p], "centroid")
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 3, 2, 1), (2, 0, 1)])
+    def test_periods_must_be_three_dimensional(self, shape):
+        with pytest.raises(DataError, match="periods must be a"):
+            ConfigEvaluator(np.zeros(shape))
 
 
 @st.composite

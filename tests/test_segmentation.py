@@ -64,6 +64,11 @@ class TestSegmentPeriod:
         with pytest.raises(ConfigError):
             segment_one(np.zeros((4, 1)), 5)
 
+    def test_count_must_be_an_integer(self):
+        for s in (2.0, 2.5):
+            with pytest.raises(ConfigError, match="is not an integer"):
+                segment_one(np.zeros((4, 1)), s)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 10), st.integers(1, 3), st.data())
     def test_partition_and_mean_conservation(self, steps, n_attrs, data):
