@@ -35,7 +35,7 @@ def main():
         writer.writerow(["typical_days", "method", "rmse_tot", "duration_rmse"])
         for k in build_grid(periods.shape[0]):
             for method in REPRESENTATION_METHODS:
-                _, _, rec = evaluator.reconstruction(k, 24, method)
+                rec = evaluator.reconstruction(k, 24, method)[3]
                 writer.writerow([
                     k, method,
                     f"{rmse_tot(original, rec):.12g}",

@@ -24,7 +24,6 @@ from .pathway import (
     select_config,
 )
 from .representation import represent
-from .segmentation import SegmentLayout
 
 __all__ = [
     "ConfigError",
@@ -32,7 +31,6 @@ __all__ = [
     "DataError",
     "Linkage",
     "PathwayState",
-    "SegmentLayout",
     "attribute_rmse",
     "build_frame",
     "build_grid",

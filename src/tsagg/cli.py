@@ -170,12 +170,12 @@ def _frame(args: argparse.Namespace):
 
 def _aggregate(args: argparse.Namespace, names, transform, evaluator, p: int, s: int):
     """Write the artifacts of configuration (p, s), every value computed first."""
-    assignment, layout, rec = evaluator.reconstruction(p, s, args.representation)
+    assignment, lengths, values, rec = evaluator.reconstruction(p, s, args.representation)
     report = build_report(evaluator.periods.reshape(rec.shape), rec, names, total_steps=p * s)
-    values = denormalize(layout.values.reshape(-1, len(names)), *transform)
+    raw = denormalize(values.reshape(-1, len(names)), *transform)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_representatives(args.out_dir / "representatives.csv", np.bincount(assignment),
-                          layout.lengths, values.reshape(layout.values.shape), names)
+                          lengths, raw.reshape(values.shape), names)
     write_mapping(args.out_dir / "mapping.csv", assignment)
     write_json(args.out_dir / "metrics.json", report)
 

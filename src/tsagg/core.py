@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, as_integer
 
 NORMALIZATION_METHODS = ("minmax", "znorm")
 
@@ -120,7 +120,7 @@ def to_periods(normalized: np.ndarray, steps: int, drop_trailing: bool = False) 
     normalized = np.asarray(normalized, dtype=np.float64)
     if normalized.ndim != 2:
         raise DataError(f"normalized matrix must be 2-dimensional, got ndim={normalized.ndim}")
-    n_steps = normalized.shape[0]
+    n_steps, steps = normalized.shape[0], as_integer(steps, "steps_per_period")
     if not 1 <= steps <= n_steps:
         raise ConfigError(f"steps_per_period={steps} out of range for {n_steps} steps")
     remainder = n_steps % steps

@@ -300,7 +300,8 @@ def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
     # the merges' rows in ``order``: the rows a, then the rows b
     at = np.concatenate((pos[take], np.searchsorted(row_id[order], row_id[b])))
 
-    d, si, sj = tri[_position(base, a, b)][:, None], size[a][:, None], size[b][:, None]
+    # a's cached distance is the triangle's (a, b): every value near_d gets, the triangle gets
+    d, si, sj = near_d[a][:, None], size[a][:, None], size[b][:, None]
 
     def update(d_a, d_b, nm):  # the expression of one merge at a time
         return ((si + nm) * d_a + (sj + nm) * d_b - nm * d) / ((si + sj) + nm)

@@ -14,18 +14,23 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DataError
-from .segmentation import SegmentLayout
 
 
-def reconstruct(layout: SegmentLayout, assignment: np.ndarray) -> np.ndarray:
+def reconstruct(lengths: np.ndarray, values: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Expand segmented representatives back to the full horizon, (P * T, N_a).
 
-    Period i takes the segments of representative assignment[i].
+    Period i takes row assignment[i] of the segment lengths (k, s) and means
+    (k, s, N_a); every lengths row must be positive and sum to the period length.
     """
-    k, _, n_attrs = layout.values.shape
+    if lengths.ndim != 2 or values.ndim != 3 or values.shape[:2] != lengths.shape:
+        raise DataError(f"values of shape {values.shape} for lengths of shape {lengths.shape}")
+    k, n_attrs = len(lengths), values.shape[2]
+    totals = lengths.sum(axis=1)
+    if np.any(lengths < 1) or np.any(totals != totals[0]):
+        raise DataError("segments do not tile the period")
     if assignment.size and not 0 <= assignment.min() <= assignment.max() < k:
         raise DataError(f"assignment refers to clusters outside [0, {k})")
-    expanded = np.repeat(layout.values.reshape(-1, n_attrs), layout.lengths.ravel(), axis=0)
+    expanded = np.repeat(values.reshape(-1, n_attrs), lengths.ravel(), axis=0)
     return expanded.reshape(k, -1, n_attrs)[assignment].reshape(-1, n_attrs)
 
 

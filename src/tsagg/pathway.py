@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError, check_count
 from .hierarchy import Linkage, ward_linkage
 from .metrics import reconstruct, rmse_tot
 from .representation import represent
-from .segmentation import SegmentLayout, cut_layout, segment_linkage
+from .segmentation import cut_layout, segment_linkage
 
 MORE_PERIODS = "more_periods"
 MORE_SEGMENTS = "more_segments"
@@ -129,19 +129,18 @@ class ConfigEvaluator:
         self._nodes[method] = done, profiles, ranks
         self._cuts.update(cuts)
 
-    def reconstruction(self, p: int, s: int,
-                       method: str) -> tuple[np.ndarray, SegmentLayout, np.ndarray]:
-        """Cluster assignment, segmented representatives and full-length reconstruction."""
+    def reconstruction(self, p: int, s: int, method: str) -> tuple[np.ndarray, ...]:
+        """Cluster assignment, segment lengths and means, and full-length reconstruction."""
         p, s = check_count(p, "p", len(self.periods)), check_count(s, "s", self.periods.shape[1])
         self.prepare([p], method)
         assignment, nodes = self._cuts[p]
         _, profiles, ranks = self._nodes[method]
-        layout = cut_layout(profiles[nodes], ranks[nodes], s)
-        return assignment, layout, reconstruct(layout, assignment)
+        lengths, values = cut_layout(profiles[nodes], ranks[nodes], s)
+        return assignment, lengths, values, reconstruct(lengths, values, assignment)
 
     def evaluate(self, p: int, s: int, method: str) -> float:
         """RMSE_tot of (p, s) under ``method`` against the normalized periods."""
-        _, _, rec = self.reconstruction(p, s, method)
+        rec = self.reconstruction(p, s, method)[3]
         return rmse_tot(self.periods.reshape(rec.shape), rec)
 
 

@@ -35,7 +35,7 @@ def represent(periods: np.ndarray, assignment: np.ndarray, method: str) -> np.nd
     """One representative profile per cluster, (P, T, N_a) -> (k, T, N_a).
 
     assignment[i] is period i's cluster; every cluster 0..k-1 must have a
-    member, as the clusters of a cut do.
+    member, as the clusters of a cut do, else it is a DataError.
     """
     if method not in REPRESENTATION_METHODS:
         raise ConfigError(
@@ -43,7 +43,12 @@ def represent(periods: np.ndarray, assignment: np.ndarray, method: str) -> np.nd
     if assignment.shape[0] != periods.shape[0]:
         raise DataError(
             f"assignment covers {assignment.shape[0]} periods, there are {periods.shape[0]}")
+    if np.any(assignment < 0):
+        i = np.argmax(assignment < 0)
+        raise DataError(f"period {i} has the negative cluster index {assignment[i]}")
     sizes = np.bincount(assignment)
+    if not sizes.all():
+        raise DataError(f"cluster {sizes.argmin()} has no member")
     steps, n_attrs = periods.shape[1:]
     # member period indices, ascending, cluster after cluster
     members = np.argsort(assignment, kind="stable")

@@ -22,33 +22,9 @@ merge of k profiles of n steps is O(k n) work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DataError, check_count
-
-
-@dataclass(frozen=True, eq=False)
-class SegmentLayout:
-    """Segments of k periods, in chronological order within each period.
-
-    lengths has shape (k, s) and holds each segment's step count; every
-    row sums to the period length. values has shape (k, s, N_a) and holds
-    the segment means in normalized units.
-    """
-
-    lengths: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        k, s = self.lengths.shape
-        if self.values.shape[:2] != (k, s):
-            raise DataError(
-                f"values of shape {self.values.shape} for lengths of shape {(k, s)}")
-        totals = self.lengths.sum(axis=1)
-        if np.any(self.lengths < 1) or np.any(totals != totals[0]):
-            raise DataError("segments do not tile the period")
+from .errors import check_count
 
 
 def _sq_norms(diff):
@@ -99,8 +75,12 @@ def segment_linkage(profiles: np.ndarray) -> np.ndarray:
     return ranks.reshape(k, n)[:, :-1].copy()
 
 
-def cut_layout(profiles: np.ndarray, ranks: np.ndarray, n_segments: int) -> SegmentLayout:
-    """Cut k merge orders at n_segments and average each run of steps."""
+def cut_layout(profiles: np.ndarray, ranks: np.ndarray,
+               n_segments: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut k merge orders at n_segments: chronological lengths (k, s) and means (k, s, N_a).
+
+    A rank row is a permutation of 0..steps-2, so each row of lengths tiles the period.
+    """
     profiles = np.asarray(profiles, dtype=np.float64)
     k, steps, n_attrs = profiles.shape
     n_segments = check_count(n_segments, "n_segments", steps)
@@ -116,5 +96,5 @@ def cut_layout(profiles: np.ndarray, ranks: np.ndarray, n_segments: int) -> Segm
         c, j = np.nonzero(lengths == length)
         window = starts[c, j, None] + np.arange(length)
         values[c, j] = profiles[c[:, None], window].mean(axis=1)
-    return SegmentLayout(lengths=lengths, values=values)
+    return lengths, values
 

@@ -28,7 +28,7 @@ def random_matrix(rng, n_steps, n_attrs, spread=1.0):
 
 
 def segment_one(profile, n_segments):
-    """Chain-segment one profile (steps, or steps x N_a) into a layout of k=1."""
+    """Chain-segment one profile (steps, or steps x N_a) into (lengths, values) of k=1."""
     profile = np.asarray(profile, dtype=np.float64)
     profiles = profile.reshape(1, profile.shape[0], -1)
     return cut_layout(profiles, segment_linkage(profiles), n_segments)
@@ -36,5 +36,5 @@ def segment_one(profile, n_segments):
 
 def chain_partition(profile, n_segments):
     """Per-step segment labels 0..n_segments-1 of one chain-segmented profile."""
-    lengths = segment_one(profile, n_segments).lengths[0]
+    lengths = segment_one(profile, n_segments)[0][0]
     return np.repeat(np.arange(n_segments), lengths)

@@ -39,7 +39,7 @@ def report(name, ok, detail=""):
 
 
 def aggregate_once(periods, p, s, method):
-    assignment, _, rec = ConfigEvaluator(periods).reconstruction(p, s, method)
+    assignment, _, _, rec = ConfigEvaluator(periods).reconstruction(p, s, method)
     return assignment, rec
 
 

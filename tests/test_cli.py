@@ -112,13 +112,14 @@ class TestAggregate:
                      "--period-length", "6", "--typical-periods", "4",
                      "--segments", "3", "--normalization", "znorm"]) == 0
         periods, offset, scale = build_frame(values, ["a", "b"], 6, "znorm")
-        assignment, layout, _ = ConfigEvaluator(periods).reconstruction(4, 3, "distribution")
-        segment_values = denormalize(layout.values.reshape(-1, 2), offset, scale)
+        assignment, lengths, means, _ = ConfigEvaluator(periods).reconstruction(
+            4, 3, "distribution")
+        segment_values = denormalize(means.reshape(-1, 2), offset, scale)
         weights = np.bincount(assignment)
         expected = ["cluster_id,weight,segment_id,duration_steps,a,b"]
         for i, (a, b) in enumerate(segment_values):
             c, j = divmod(i, 3)
-            expected.append(f"{c},{weights[c]},{j},{layout.lengths[c, j]},"
+            expected.append(f"{c},{weights[c]},{j},{lengths[c, j]},"
                             f"{a:.12g},{b:.12g}")
         assert (out / "representatives.csv").read_text().splitlines() == expected
 

@@ -162,6 +162,13 @@ class TestToPeriods:
         with pytest.raises(ConfigError, match="remainder 1"):
             to_periods(np.zeros((10, 1)), 3)
 
+    def test_step_count_must_be_an_integer(self):
+        for steps in (24.0, 2.5):
+            with pytest.raises(ConfigError, match=rf"steps_per_period={steps} is not an integer"):
+                to_periods(np.zeros((48, 2)), steps)
+        data = np.arange(96.0).reshape(48, 2)
+        np.testing.assert_array_equal(to_periods(data, np.int64(24)), to_periods(data, 24))
+
     def test_drop_trailing(self):
         data = np.arange(10.0).reshape(10, 1)
         periods = to_periods(data, 3, drop_trailing=True)

@@ -469,7 +469,7 @@ class TestLinkageProperties:
             samples = rng.standard_normal((n, 2))
             previous = set()
             for k in range(1, n + 1):
-                lengths = segment_one(samples, k).lengths[0]
+                lengths = segment_one(samples, k)[0][0]
                 # k non-empty runs in step order that tile the chain
                 assert lengths.size == k and np.all(lengths >= 1)
                 assert lengths.sum() == n

@@ -30,7 +30,7 @@ def single_cell(i, j, value):
 
 
 def aggregate(periods, p, s, method):
-    return ConfigEvaluator(periods).reconstruction(p, s, method)[2]
+    return ConfigEvaluator(periods).reconstruction(p, s, method)[3]
 
 
 class TestReconstruct:
@@ -54,11 +54,11 @@ class TestReconstruct:
         periods = periods_of(rng.standard_normal((96, 1)), 24)
         assignment, _ = ward_linkage(periods.reshape(4, -1)).cut(2)
         profiles = represent(periods, assignment, "centroid")
-        layout = cut_layout(profiles, segment_linkage(profiles), 5)
-        rec = reconstruct(layout, assignment).reshape(4, 24)
+        lengths, values = cut_layout(profiles, segment_linkage(profiles), 5)
+        rec = reconstruct(lengths, values, assignment).reshape(4, 24)
         for p in range(4):
-            lengths = layout.lengths[assignment[p]]
-            for start, length in zip(np.cumsum(lengths) - lengths, lengths):
+            row = lengths[assignment[p]]
+            for start, length in zip(np.cumsum(row) - row, row):
                 run = rec[p, start:start + length]
                 assert np.all(run == run[0])
 
@@ -67,9 +67,9 @@ class TestReconstruct:
         assignment, _ = ward_linkage(np.arange(4.0)).cut(2)
         profiles = represent(periods_of(np.arange(6.0), 3), np.zeros(2, dtype=np.int64),
                              "centroid")
-        layout = cut_layout(profiles, segment_linkage(profiles), 3)
+        lengths, values = cut_layout(profiles, segment_linkage(profiles), 3)
         with pytest.raises(DataError):
-            reconstruct(layout, assignment)
+            reconstruct(lengths, values, assignment)
 
 
 class TestRmseTot:

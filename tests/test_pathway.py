@@ -147,12 +147,12 @@ class TestNodeCache:
         for p, s, method in visits + visits[::-1]:
             assignment, _ = linkage.cut(p)
             fresh = represent(periods, assignment, method)
-            layout = cut_layout(fresh, segment_linkage(fresh), s)
-            expected = reconstruct(layout, assignment)
-            got_assignment, got_layout, rec = evaluator.reconstruction(p, s, method)
+            lengths, values = cut_layout(fresh, segment_linkage(fresh), s)
+            expected = reconstruct(lengths, values, assignment)
+            got_assignment, got_lengths, got_values, rec = evaluator.reconstruction(p, s, method)
             assert_array_equal(got_assignment, assignment)
-            assert_array_equal(got_layout.lengths, layout.lengths)
-            assert_array_equal(got_layout.values, layout.values)
+            assert_array_equal(got_lengths, lengths)
+            assert_array_equal(got_values, values)
             assert_array_equal(rec, expected)
             assert evaluator.evaluate(p, s, method) == rmse_tot(periods.reshape(-1, n_attrs),
                                                                 expected)
@@ -202,13 +202,11 @@ class TestNodeCache:
             assert len(calls) == 2
             fresh = ConfigEvaluator(periods)
             for s in (1, 5, 12):
-                assignment, layout, rec = evaluator.reconstruction(2, s, method)
-                expected_assignment, expected_layout, expected = fresh.reconstruction(
-                    2, s, method)
-                assert_array_equal(assignment, expected_assignment)
-                assert_array_equal(layout.lengths, expected_layout.lengths)
-                assert_array_equal(layout.values, expected_layout.values)
-                assert_array_equal(rec, expected)
+                got = evaluator.reconstruction(2, s, method)
+                expected = fresh.reconstruction(2, s, method)
+                # assignment, lengths, values and reconstruction
+                for got_array, expected_array in zip(got, expected, strict=True):
+                    assert_array_equal(got_array, expected_array)
 
     @settings(max_examples=80, deadline=None)
     @given(tie_heavy_periods(), st.sampled_from(REPRESENTATION_METHODS), st.data())

@@ -21,9 +21,9 @@ def test_library_example_runs():
     # the shapes and values its comments state
     assert namespace["periods"].shape == (days, 24, 2)
     assert np.bincount(namespace["assignment"]).sum() == days
-    layout, trace = namespace["layout"], namespace["trace"]
-    assert layout.lengths.shape == (8, 8) and np.all(layout.lengths.sum(axis=1) == 24)
-    assert layout.values.shape == (8, 8, 2)
+    lengths, values, trace = namespace["lengths"], namespace["values"], namespace["trace"]
+    assert lengths.shape == (8, 8) and np.all(lengths.sum(axis=1) == 24)
+    assert values.shape == (8, 8, 2)
     assert (trace[0].p, trace[0].s, trace[0].direction) == (1, 1, "")
     assert trace[1].direction in ("more_periods", "more_segments")
     assert trace[-1].total_steps == trace[-1].p * trace[-1].s > 96

@@ -308,6 +308,16 @@ class TestCommon:
         with pytest.raises(ConfigError):
             represent(periods, assignment, "mean")
 
+    @pytest.mark.parametrize("method", REPRESENTATION_METHODS)
+    @pytest.mark.parametrize("assignment, message", [
+        ([0, 2, 2], "cluster 1 has no member"),
+        ([0, -1, 1], "period 1 has the negative cluster index -1"),
+    ], ids=["empty-cluster", "negative-index"])
+    def test_assignment_must_fill_every_cluster(self, method, assignment, message):
+        periods = periods_of(np.arange(12.0), 4)
+        with pytest.raises(DataError, match=message):
+            represent(periods, np.array(assignment), method)
+
 
 @st.composite
 def tie_heavy_periods(draw):

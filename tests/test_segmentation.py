@@ -7,7 +7,8 @@ from hypothesis.extra.numpy import arrays
 from tsagg.errors import ConfigError, DataError
 from tsagg.hierarchy import ward_linkage
 from tsagg.representation import represent
-from tsagg.segmentation import SegmentLayout, cut_layout, segment_linkage
+from tsagg.metrics import reconstruct
+from tsagg.segmentation import cut_layout, segment_linkage
 
 from helpers import chain_partition, periods_of, segment_one
 from reference import best_partition, chain_matrix, naive_cut, naive_ward
@@ -15,9 +16,9 @@ from reference import best_partition, chain_matrix, naive_cut, naive_ward
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False, allow_infinity=False)
 
 
-def layout_of(layout, c=0):
+def layout_of(lengths, c=0):
     """(start_step, length_steps) of every segment of period c."""
-    lengths = layout.lengths[c].tolist()
+    lengths = lengths[c].tolist()
     starts = np.concatenate(([0], np.cumsum(lengths)[:-1])).tolist()
     return list(zip(starts, lengths))
 
@@ -39,24 +40,24 @@ def tie_heavy_profiles(draw):
 class TestSegmentPeriod:
     def test_identity_segmentation(self):
         profile = np.arange(8.0).reshape(4, 2)
-        layout = segment_one(profile, 4)
-        assert layout_of(layout) == [(0, 1), (1, 1), (2, 1), (3, 1)]
-        np.testing.assert_array_equal(layout.values[0], profile)
+        lengths, values = segment_one(profile, 4)
+        assert layout_of(lengths) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+        np.testing.assert_array_equal(values[0], profile)
 
     def test_single_segment_is_mean(self):
         profile = np.array([[0.0, 2.0], [4.0, 6.0]])
-        layout = segment_one(profile, 1)
-        assert layout_of(layout) == [(0, 2)]
-        np.testing.assert_array_equal(layout.values[0, 0], [2.0, 4.0])
+        lengths, values = segment_one(profile, 1)
+        assert layout_of(lengths) == [(0, 2)]
+        np.testing.assert_array_equal(values[0, 0], [2.0, 4.0])
 
     def test_two_plateaus(self):
-        layout = segment_one(np.array([0.0, 0.0, 10.0, 10.0]), 2)
-        assert layout_of(layout) == [(0, 2), (2, 2)]
-        assert layout.values[0, 0, 0] == 0.0
-        assert layout.values[0, 1, 0] == 10.0
+        lengths, values = segment_one(np.array([0.0, 0.0, 10.0, 10.0]), 2)
+        assert layout_of(lengths) == [(0, 2), (2, 2)]
+        assert values[0, 0, 0] == 0.0
+        assert values[0, 1, 0] == 10.0
         expected, _ = best_partition(np.array([0.0, 0.0, 10.0, 10.0]), 2,
                                      contiguous=True)
-        assert layout_of(layout)[1][0] == int(np.flatnonzero(np.diff(expected))[0]) + 1
+        assert layout_of(lengths)[1][0] == int(np.flatnonzero(np.diff(expected))[0]) + 1
 
     def test_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -74,12 +75,12 @@ class TestSegmentPeriod:
     def test_partition_and_mean_conservation(self, steps, n_attrs, data):
         profile = data.draw(arrays(np.float64, (steps, n_attrs), elements=finite))
         n_segments = data.draw(st.integers(1, steps))
-        layout = segment_one(profile, n_segments)
-        assert layout.lengths.shape[1] == n_segments
-        assert layout.lengths.sum() == steps
-        assert np.all(layout.lengths >= 1)
+        lengths, values = segment_one(profile, n_segments)
+        assert lengths.shape[1] == n_segments
+        assert lengths.sum() == steps
+        assert np.all(lengths >= 1)
         for a in range(n_attrs):
-            weighted = (layout.lengths[0] * layout.values[0, :, a]).sum() / steps
+            weighted = (lengths[0] * values[0, :, a]).sum() / steps
             assert abs(weighted - profile[:, a].mean()) < 1e-12 * max(
                 1.0, np.abs(profile[:, a]).max())
 
@@ -88,8 +89,8 @@ class TestSegmentPeriod:
     def test_refinement_splits_one_segment(self, steps, data):
         profile = data.draw(arrays(np.float64, (steps, 1), elements=finite))
         for s in range(1, steps):
-            coarse = set(layout_of(segment_one(profile, s)))
-            fine = set(layout_of(segment_one(profile, s + 1)))
+            coarse = set(layout_of(segment_one(profile, s)[0]))
+            fine = set(layout_of(segment_one(profile, s + 1)[0]))
             # hierarchical nesting: all but one coarse segment survive
             assert len(coarse - fine) == 1
             assert len(fine - coarse) == 2
@@ -102,13 +103,13 @@ class TestSegmentPeriod:
             profiles = 7.3 * rng.standard_normal((20, 24, n_attrs))
             ranks = segment_linkage(profiles)
             for s in range(1, 9):
-                layout = cut_layout(profiles, ranks, s)
+                lengths, values = cut_layout(profiles, ranks, s)
                 for c in range(20):
-                    for j, (start, length) in enumerate(layout_of(layout, c)):
+                    for j, (start, length) in enumerate(layout_of(lengths, c)):
                         if length < 3:
                             continue
                         expected = profiles[c, start:start + length].mean(axis=0)
-                        assert layout.values[c, j].tobytes() == expected.tobytes()
+                        assert values[c, j].tobytes() == expected.tobytes()
                         checked += 1
         assert checked > 500
 
@@ -153,39 +154,36 @@ class TestSegmentRepresentatives:
 
     def test_eight_times_eight(self):
         rng = np.random.default_rng(0)
-        _, layout = self.segmented(rng.standard_normal((8760, 1)), 24, 8, 8)
-        assert layout.lengths.shape == (8, 8)
-        assert layout.values.shape == (8, 8, 1)
+        _, (lengths, values) = self.segmented(rng.standard_normal((8760, 1)), 24, 8, 8)
+        assert lengths.shape == (8, 8)
+        assert values.shape == (8, 8, 1)
 
     def test_identity_keeps_profiles(self):
         rng = np.random.default_rng(1)
-        profiles, layout = self.segmented(rng.standard_normal((48, 2)), 12, 2, 12)
-        assert np.all(layout.lengths == 1)
-        np.testing.assert_array_equal(layout.values, profiles)
+        profiles, (lengths, values) = self.segmented(rng.standard_normal((48, 2)), 12, 2, 12)
+        assert np.all(lengths == 1)
+        np.testing.assert_array_equal(values, profiles)
 
     def test_identical_periods_get_identical_layouts(self):
         rng = np.random.default_rng(2)
         day = rng.standard_normal((24, 1))
-        _, layout = self.segmented(np.vstack([day, day]), 24, 2, 5)
-        assert layout_of(layout, 0) == layout_of(layout, 1)
+        _, (lengths, _) = self.segmented(np.vstack([day, day]), 24, 2, 5)
+        assert layout_of(lengths, 0) == layout_of(lengths, 1)
 
 
 @pytest.mark.parametrize("lengths, values, message", [
     ([[2, 2]], np.zeros((1, 3, 1)), r"values of shape \(1, 3, 1\) for lengths of shape \(1, 2\)"),
+    ([[2, 2]], np.zeros((1, 2)), r"values of shape \(1, 2\) for lengths of shape \(1, 2\)"),
     ([[2, 2], [1, 2]], np.zeros((2, 2, 1)), "segments do not tile the period"),
     ([[4, 0]], np.zeros((1, 2, 1)), "segments do not tile the period"),
-], ids=["shapes", "row-totals", "empty-segment"])
+], ids=["shapes", "flat-values", "row-totals", "empty-segment"])
 def test_layout_rejects_malformed_segments(lengths, values, message):
     with pytest.raises(DataError, match=message):
-        SegmentLayout(np.array(lengths), values)
+        reconstruct(np.array(lengths), values, np.zeros(1, dtype=np.int64))
 
 
 def test_equality_is_identity():
     # on equal-content array fields a field-wise == raises instead of answering
-    lengths, values = np.array([[2, 1]]), np.zeros((1, 2, 1))
-    layout = SegmentLayout(lengths, values)
-    assert layout == layout
-    assert layout != SegmentLayout(lengths.copy(), values.copy())
     samples = np.arange(6.0).reshape(3, 2)
     linkage = ward_linkage(samples)
     assert linkage == linkage
