@@ -29,7 +29,7 @@ from .core import (
     rescale,
     validate_and_build,
 )
-from .errors import ConfigError, DataError, check_count
+from .errors import ConfigError, DataError, check_count, check_positive
 from .metrics import build_report
 from .pathway import ConfigEvaluator, PathwayState, pathway_search, select_config
 from .representation import REPRESENTATION_METHODS
@@ -192,8 +192,8 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 def cmd_pathway(args: argparse.Namespace) -> int:
     names, transform, periods = _frame(args)
-    if args.budget is not None and args.budget < 1:  # checked before the period linkage
-        raise ConfigError(f"budget must be >= 1, got {args.budget}")
+    if args.budget is not None:  # checked before the period linkage
+        check_positive(args.budget, "budget")
     evaluator = ConfigEvaluator(periods)
     trace = pathway_search(evaluator, args.representation, max_total_steps=args.budget)
     selected = trace[-1] if args.budget is None else select_config(trace, args.budget)
@@ -289,6 +289,9 @@ def main(argv=None) -> int:
         return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an allocation that the linkage's memory guard does not count
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return 3
 
 

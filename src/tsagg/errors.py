@@ -25,3 +25,11 @@ def check_count(value, name: str, limit: int) -> int:
     if not 1 <= value <= limit:
         raise ConfigError(f"{name}={value} out of range [1, {limit}]")
     return value
+
+
+def check_positive(value, name: str) -> int:
+    """value as an int of at least 1 by ``operator.index``; else a ConfigError."""
+    value = as_integer(value, name)
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value}")
+    return value

@@ -217,12 +217,9 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
 def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Müllner's generic algorithm, a pass of provable merges at a time.
 
-    A pass takes the first CANDIDATES rows in (cached distance, id) order,
-    each with its neighbour, up to the first whose neighbour merged earlier
-    in the pass; a row that merged as a neighbour drops out. Merge t stands
-    unless a pair with a cluster born earlier in the pass comes before it in
-    the tie rule; every other pair comes after it, as a row whose neighbour
-    merged can only move up. Rows whose neighbour merged rescan once a pass.
+    ``_merge_batch`` decides each pass; the loop applies its merges, writes
+    the new clusters' distances and updates the cached neighbours. Rows
+    whose neighbour merged rescan once a pass.
     """
     n = samples.shape[0]
     # one row per active cluster; the cluster born in a merge takes over
@@ -279,13 +276,19 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
     """The merges that provably come next, and the new clusters' distances.
 
+    A pass takes the first CANDIDATES rows in (cached distance, id) order,
+    each with its neighbour, up to the first whose neighbour merged earlier
+    in the pass; a row that merged as a neighbour drops out. Merge t stands
+    unless a pair with a cluster born earlier in the pass comes before it in
+    the tie rule; every other pair comes after it, as a row whose neighbour
+    merged can only move up.
+
     Returns the rows a and b of those merges, in order; their costs; the
     new clusters' distances to the rows of ``order``; and [u, s], the later
     cluster u's distance to s by merge u, inf unless s < u.
     """
-    # candidates: the first CANDIDATES rows in (cached distance, id) order,
-    # as ``order`` is in id order; the cap keeps out the last row, whose
-    # cached distance, inf, sorts last
+    # ``order`` is in id order, so a stable sort is (cached distance, id)
+    # order; the cap keeps out the last row, whose cached distance, inf, sorts last
     pos = np.argsort(near_d[order], kind="stable")[:min(CANDIDATES, order.size - 1)]
     a, b = order[pos], near_r[order[pos]]
     take, seen = [], set()
@@ -306,41 +309,23 @@ def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
     def update(d_a, d_b, nm):  # the expression of one merge at a time
         return ((si + nm) * d_a + (sj + nm) * d_b - nm * d) / ((si + sj) + nm)
 
-    earlier = np.tri(len(take), k=-1, dtype=bool)  # [u, s]: s < u
     rows = tri.take(_position(base, np.concatenate((a, b))[:, None], order))
     new_d = update(rows[:a.size], rows[a.size:], size[order])
-    # [s, j]: cluster s's distance to the row at[j]
-    to_rows = new_d[:, at]
     # [u, s]: the later cluster u's distance to s, as merge u computes it
-    to_a, to_b = to_rows.T[:a.size], to_rows.T[a.size:]
-    new_new = np.where(earlier, update(to_a, to_b, (si + sj).T), np.inf)
-    count = _tie_rule_count(new_d, new_new, to_rows, d[:, 0], at)
+    to_a, to_b = np.split(new_d[:, at].T, 2)
+    new_new = np.where(np.tri(a.size, k=-1, dtype=bool), update(to_a, to_b, (si + sj).T), np.inf)
+    # a cluster s < t comes before merge t with a row no merge before t takes
+    # (taken[j] >= t) or a new cluster u < t. New ids are the largest, so on
+    # a tie only a row of smaller id than merge t's comes first, and no pair
+    # after (last cost, largest merged row) does, which bounds equal distances
+    t, taken = np.arange(a.size), np.full(order.size, a.size)
+    taken[at] = np.tile(t, 2)
+    rival = new_d <= d[-1, 0]
+    rival[:, at.max():] = new_d[:, at.max():] < d[-1, 0]
+    s, j = np.divmod(np.flatnonzero(rival), order.size)
+    cost = new_d[s, j][:, None]
+    stops = (((cost < d[:, 0]) | (cost == d[:, 0]) & (j[:, None] < at[:a.size]))
+             & (s[:, None] < t) & (t <= taken[j][:, None])).any(axis=0)
+    stops |= ((new_new.min(axis=1)[:, None] < d[:, 0]) & (t[:, None] < t)).any(axis=0)
+    count = np.append(stops, True).argmax()  # no pair comes before merge 0
     return a[:count], b[:count], d[:count, 0], new_d[:count], new_new[:count, :count]
-
-
-def _tie_rule_count(new_d, new_new, to_rows, d, at):
-    """How many merges of a pass stand by the tie rule.
-
-    Merge t stands unless a pair with a cluster s < t of the pass comes
-    first. New ids are the largest, so on a tie only a row of smaller id
-    than merge t's comes first, never a new cluster. Cluster s meets the
-    rows no merge of the pass takes (its first minimum decides), the new
-    clusters before it and the rows of merges u >= t; d is the costs, and
-    at the merges' rows in ``order``, the rows a, then the rows b.
-    """
-    def ahead(cost, pos):  # [., t]: whether (cost, position) comes before merge t
-        return (cost < d) | (cost == d) & (pos < at[:d.size])
-
-    rest = new_d.copy()
-    rest[:, at] = np.inf
-    first = rest.argmin(axis=1)
-    k = np.arange(d.size)
-    stops = ahead(rest[k, first][:, None], first[:, None]) | (new_new.min(axis=1)[:, None] < d)
-    stops = (stops & (k[:, None] < k)).any(axis=0)
-    # [s, j] for the merges' rows at[j]: only costs up to the last merge's
-    # can come first
-    s, j = np.nonzero(to_rows <= d[-1])
-    u = j % d.size  # the merge that takes row at[j]
-    stops |= (ahead(to_rows[s, j][:, None], at[j][:, None])
-              & (s[:, None] < k) & (k <= u[:, None])).any(axis=0)
-    return np.append(stops, True).argmax()  # no pair comes before merge 0

@@ -22,6 +22,9 @@ def reconstruct(lengths: np.ndarray, values: np.ndarray, assignment: np.ndarray)
     Period i takes row assignment[i] of the segment lengths (k, s) and means
     (k, s, N_a); every lengths row must be positive and sum to the period length.
     """
+    for name, array in (("lengths", lengths), ("assignment", assignment)):
+        if array.dtype.kind not in "iu":
+            raise DataError(f"{name} of dtype {array.dtype} is not an integer array")
     if lengths.ndim != 2 or values.ndim != 3 or values.shape[:2] != lengths.shape:
         raise DataError(f"values of shape {values.shape} for lengths of shape {lengths.shape}")
     k, n_attrs = len(lengths), values.shape[2]

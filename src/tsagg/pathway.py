@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_count
+from .errors import ConfigError, DataError, check_count, check_positive
 from .hierarchy import Linkage, ward_linkage
 from .metrics import reconstruct, rmse_tot
 from .representation import represent
@@ -62,19 +62,13 @@ def build_grid(max_value: int) -> list[int]:
 
     Deduplicated, strictly increasing, always ending at max_value.
     """
-    if max_value < 1:
-        raise ConfigError(f"max_value must be >= 1, got {max_value}")
-    grid = []
-    i = 0
-    while True:
-        v = round(math.sqrt(2) ** i)
-        if v >= max_value:
-            break
+    max_value = check_positive(max_value, "max_value")
+    grid, i = [], 0
+    while (v := round(math.sqrt(2) ** i)) < max_value:
         if not grid or v > grid[-1]:
             grid.append(v)
         i += 1
-    grid.append(max_value)
-    return grid
+    return grid + [max_value]
 
 
 class ConfigEvaluator:
@@ -153,6 +147,8 @@ def pathway_search(evaluator: ConfigEvaluator, method: str,
     reach: the whole grid when unbounded, otherwise the grid up to
     max_total_steps and the next count, a candidate of a state within it.
     """
+    if max_total_steps is not None:
+        max_total_steps = check_positive(max_total_steps, "max_total_steps")
     n_periods, steps = evaluator.periods.shape[:2]
     grid_p = build_grid(n_periods)
     grid_s = build_grid(steps)
@@ -187,8 +183,7 @@ def pathway_search(evaluator: ConfigEvaluator, method: str,
 
 def select_config(trace: tuple[PathwayState, ...], budget: int) -> PathwayState:
     """Last traced state whose total step count fits the budget."""
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
+    budget = check_positive(budget, "budget")
     chosen = [state for state in trace if state.total_steps <= budget]
     if not chosen:
         raise ConfigError("trace holds no state within the budget")

@@ -40,6 +40,8 @@ def represent(periods: np.ndarray, assignment: np.ndarray, method: str) -> np.nd
     if method not in REPRESENTATION_METHODS:
         raise ConfigError(
             f"unknown representation method {method!r}, expected one of {REPRESENTATION_METHODS}")
+    if assignment.dtype.kind not in "iu":
+        raise DataError(f"assignment of dtype {assignment.dtype} is not an integer array")
     if assignment.shape[0] != periods.shape[0]:
         raise DataError(
             f"assignment covers {assignment.shape[0]} periods, there are {periods.shape[0]}")

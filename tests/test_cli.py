@@ -242,6 +242,19 @@ class TestAggregate:
         err = capsys.readouterr().err
         assert "307.0 MB" in err and "100.0 MB" in err
 
+    def test_out_of_memory_is_config_exit(self, year_csv, tmp_path, monkeypatch, capsys):
+        # an allocation that the memory guard does not count
+        def no_memory(samples):
+            raise MemoryError("Unable to allocate 1.00 TiB")
+
+        monkeypatch.setattr("tsagg.pathway.ward_linkage", no_memory)
+        out = tmp_path / "out"
+        code = main(["aggregate", "--input", str(year_csv), "--out-dir", str(out),
+                     "--period-length", "24", "--typical-periods", "8"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: out of memory")
+        assert not out.exists()
+
     def test_unknown_flag_is_config_error(self):
         code = main(["aggregate", "--bogus"])
         assert code == 3

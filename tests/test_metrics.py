@@ -72,6 +72,31 @@ class TestReconstruct:
             reconstruct(lengths, values, assignment)
 
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: reconstruct(np.array([[2.0, 2.0]]), np.zeros((1, 2, 1)),
+                             np.zeros(1, dtype=np.int64)), "lengths of dtype float64"),
+        (lambda: reconstruct(np.array([[2, 2]]), np.zeros((1, 2, 1)), np.zeros(1)),
+         "assignment of dtype float64"),
+        # numpy would read the bools as a mask and return an empty frame
+        (lambda: reconstruct(np.array([[2, 2]]), np.zeros((1, 2, 1)), np.zeros(1, dtype=bool)),
+         "assignment of dtype bool"),
+        (lambda: represent(np.zeros((3, 2, 1)), np.array([0., 1., 1.]), "centroid"),
+         "assignment of dtype float64"),
+    ], ids=["float-lengths", "float-assignment", "bool-assignment", "float-represent"])
+    def test_index_arrays_must_be_integers(self, call, message):
+        with pytest.raises(DataError, match=message):
+            call()
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_unsigned_and_signed_indices_work(self, dtype):
+        rec = reconstruct(np.array([[2, 1]], dtype=dtype), np.arange(2.0).reshape(1, 2, 1),
+                          np.zeros(2, dtype=dtype))
+        assert rec.ravel().tolist() == [0.0, 0.0, 1.0] * 2
+        profiles = represent(np.arange(6.0).reshape(3, 2, 1), np.array([0, 1, 1], dtype=dtype),
+                             "centroid")
+        assert profiles.ravel().tolist() == [0.0, 1.0, 3.0, 4.0]
+
+
 class TestRmseTot:
     def test_identical_inputs(self):
         x = np.random.default_rng(3).standard_normal((10, 2))

@@ -45,6 +45,19 @@ class TestBuildGrid:
         with pytest.raises(ConfigError):
             build_grid(0)
 
+    def test_counts_are_integers_of_at_least_one(self):
+        periods = small_periods(seed=15)
+        trace = search(periods, "centroid")
+        for call in (lambda: build_grid(2.5), lambda: select_config(trace, 2.5),
+                     lambda: search(periods, "centroid", max_total_steps=2.5),
+                     lambda: search(periods, "centroid", max_total_steps=0),
+                     lambda: search(periods, "centroid", max_total_steps=-5)):
+            with pytest.raises(ConfigError):
+                call()
+        assert build_grid(np.int64(3)) == [1, 2, 3]
+        assert select_config(trace, np.int64(1)) == trace[0]
+        assert search(periods, "centroid", np.int64(2)) == search(periods, "centroid", 2)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 5000))
     def test_strictly_increasing_and_capped(self, max_value):
@@ -211,9 +224,9 @@ class TestNodeCache:
     @settings(max_examples=80, deadline=None)
     @given(tie_heavy_periods(), st.sampled_from(REPRESENTATION_METHODS), st.data())
     def test_budgeted_search_prepares_every_evaluated_p(self, periods, method, data):
-        # budgets just below, at and above a grid value
-        budget = data.draw(st.sampled_from(build_grid(periods.shape[0]))) + data.draw(
-            st.sampled_from((-1, 0, 1)))
+        # budgets just below, at and above a grid value; a cap below 1 is a ConfigError
+        budget = max(1, data.draw(st.sampled_from(build_grid(periods.shape[0]))) + data.draw(
+            st.sampled_from((-1, 0, 1))))
         prepare, evaluate = ConfigEvaluator.prepare, ConfigEvaluator.evaluate
         prepared, evaluated = [], []
 
