@@ -8,7 +8,7 @@ from .core import (
     validate_and_build,
 )
 from .errors import ConfigError, DataError
-from .hierarchy import Linkage, ward_linkage
+from .hierarchy import cut, ward_linkage
 from .metrics import (
     attribute_rmse,
     build_report,
@@ -29,12 +29,12 @@ __all__ = [
     "ConfigError",
     "ConfigEvaluator",
     "DataError",
-    "Linkage",
     "PathwayState",
     "attribute_rmse",
     "build_frame",
     "build_grid",
     "build_report",
+    "cut",
     "denormalize",
     "duration_curve_rmse",
     "normalize",

@@ -14,9 +14,9 @@ with the lexicographically smallest (id_a, id_b), id_a < id_b, wins. The
 rule compares costs as computed: the Lance-Williams update rounds, so two
 merges whose exact costs tie can differ in the last bit, and the smaller
 computed cost then wins over the smaller ids (``TIE_RULE_DEFECT`` in the
-hierarchy tests is such an input, a strict expected failure). A Linkage
-keeps its merges as three arrays: the (id_a, id_b) pairs, the costs and
-the sizes of the new clusters.
+hierarchy tests is such an input, a strict expected failure). The merges
+are three arrays, the (id_a, id_b) pairs, the costs and the sizes of the
+new clusters, and ``cut`` replays the first pairs into a partition.
 
 The period linkage is Müllner's generic algorithm ("Modern hierarchical,
 agglomerative clustering algorithms", arXiv:1109.2378). It stores each
@@ -36,51 +36,38 @@ distance kernel is described at ``sq_distances``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, check_count
 
 
-@dataclass(frozen=True, eq=False)
-class Linkage:
-    """Deterministic merge history; cut at any cluster count from n down to 1.
+def cut(ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Partition into k clusters by replaying the first n - k merges of ids.
 
-    n samples take n - 1 merges. Merge m joins the clusters
-    ids[m] = (id_a, id_b), id_a < id_b, at cost costs[m] into the cluster
-    n + m of sizes[m] samples.
+    ids is the (n - 1, 2) merge array ``ward_linkage`` returns. Returns
+    (assignment, nodes): sample i is in cluster assignment[i], numbered
+    0..k-1 by first appearance in sample order, and nodes[c] is cluster c's
+    node in the merge history, its sample id for a singleton or n + m for
+    the cluster born in merge m. Sizes: np.bincount(assignment).
     """
-
-    ids: np.ndarray
-    costs: np.ndarray
-    sizes: np.ndarray
-
-    def cut(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Partition into k clusters by replaying the first n - k merges.
-
-        Returns (assignment, nodes): sample i is in cluster assignment[i],
-        numbered 0..k-1 by first appearance in sample order, and nodes[c] is
-        cluster c's node in the merge history, its sample id for a singleton
-        or n + m for the cluster born in merge m. Sizes: np.bincount(assignment).
-        """
-        n = self.ids.shape[0] + 1
-        n_merges = n - check_count(k, "k", n)
-        parent = np.arange(n + n_merges)
-        parent[self.ids[:n_merges]] = np.arange(n, n + n_merges)[:, None]
-        # pointer jumping: each pass doubles the span every pointer covers
-        while True:
-            up = parent[parent]
-            if np.array_equal(up, parent):
-                break
-            parent = up
-        # label clusters 0..k-1 in order of first appearance
-        roots, first_seen, inverse = np.unique(parent[:n], return_index=True,
-                                               return_inverse=True)
-        by_appearance = np.argsort(first_seen)
-        label = np.empty(k, dtype=np.int64)
-        label[by_appearance] = np.arange(k)
-        return label[inverse], roots[by_appearance]
+    n = ids.shape[0] + 1
+    n_merges = n - check_count(k, "k", n)
+    parent = np.arange(n + n_merges)
+    parent[ids[:n_merges]] = np.arange(n, n + n_merges)[:, None]
+    # pointer jumping: each pass doubles the span every pointer covers
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    # label clusters 0..k-1 in order of first appearance
+    roots, first_seen, inverse = np.unique(parent[:n], return_index=True,
+                                           return_inverse=True)
+    by_appearance = np.argsort(first_seen)
+    label = np.empty(k, dtype=np.int64)
+    label[by_appearance] = np.arange(k)
+    return label[inverse], roots[by_appearance]
 
 
 # the most candidates a pass of the merge loop takes from the front of its
@@ -184,8 +171,12 @@ def available_memory() -> int | None:
         return None
 
 
-def ward_linkage(samples: np.ndarray) -> Linkage:
-    """Build the full merge history (n - 1 merges) for the given samples.
+def ward_linkage(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full merge history of the samples as three arrays (ids, costs, sizes).
+
+    n samples take n - 1 merges. Merge m joins the clusters
+    ids[m] = (id_a, id_b), id_a < id_b, at cost costs[m] into the cluster
+    n + m of sizes[m] samples; ``cut`` partitions it at any cluster count.
 
     Non-finite samples are a DataError, and so are those for which 4 n^2 R,
     R the sum of the columns' (max - min)^2, is not finite. Below that bound
@@ -211,7 +202,7 @@ def ward_linkage(samples: np.ndarray) -> Linkage:
         raise ConfigError(
             f"clustering {n} periods needs {needed / 1e6:.1f} MB for the "
             f"pairwise distances, but only {free / 1e6:.1f} MB of memory is available")
-    return Linkage(*_generic_ward(samples))
+    return _generic_ward(samples)
 
 
 def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

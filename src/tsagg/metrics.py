@@ -22,11 +22,14 @@ def reconstruct(lengths: np.ndarray, values: np.ndarray, assignment: np.ndarray)
     Period i takes row assignment[i] of the segment lengths (k, s) and means
     (k, s, N_a); every lengths row must be positive and sum to the period length.
     """
+    lengths, values, assignment = map(np.asarray, (lengths, values, assignment))
     for name, array in (("lengths", lengths), ("assignment", assignment)):
         if array.dtype.kind not in "iu":
             raise DataError(f"{name} of dtype {array.dtype} is not an integer array")
     if lengths.ndim != 2 or values.ndim != 3 or values.shape[:2] != lengths.shape:
         raise DataError(f"values of shape {values.shape} for lengths of shape {lengths.shape}")
+    if assignment.ndim != 1:
+        raise DataError(f"assignment of shape {assignment.shape} is not one index per period")
     k, n_attrs = len(lengths), values.shape[2]
     totals = lengths.sum(axis=1)
     if np.any(lengths < 1) or np.any(totals != totals[0]):
@@ -47,6 +50,8 @@ def _check_shapes(original: np.ndarray, aggregated: np.ndarray) -> tuple[np.ndar
     if original.shape != aggregated.shape:
         raise DataError(
             f"shape mismatch: original {original.shape}, aggregated {aggregated.shape}")
+    if original.size == 0:
+        raise DataError(f"empty data: shape {original.shape}")
     return original, aggregated
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, check_count, check_positive
-from .hierarchy import Linkage, ward_linkage
+from .hierarchy import cut, ward_linkage
 from .metrics import reconstruct, rmse_tot
 from .representation import represent
 from .segmentation import cut_layout, segment_linkage
@@ -90,7 +90,7 @@ class ConfigEvaluator:
         if np.ndim(periods) != 3 or 0 in np.shape(periods):
             raise DataError(f"periods must be a (P, T, N_a) array, got shape {np.shape(periods)}")
         self.periods = periods
-        self.period_linkage: Linkage = ward_linkage(periods.reshape(len(periods), -1))
+        self.merges = ward_linkage(periods.reshape(len(periods), -1))[0]
         self._cuts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         # per method, rows by dendrogram node id; a row holds data once its node is done
         self._nodes: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -107,7 +107,7 @@ class ConfigEvaluator:
             np.empty((n_nodes, steps - 1), dtype=np.int64))
         done, cuts = old.copy(), {}
         for p in sorted({check_count(p, "p", len(self.periods)) for p in counts}):
-            cuts[p] = assignment, nodes = self._cuts.get(p) or self.period_linkage.cut(p)
+            cuts[p] = assignment, nodes = self._cuts.get(p) or cut(self.merges, p)
             new = np.flatnonzero(~done[nodes])
             if new.size:
                 # the member periods of the new nodes, ascending, clustered by node

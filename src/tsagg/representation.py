@@ -40,11 +40,12 @@ def represent(periods: np.ndarray, assignment: np.ndarray, method: str) -> np.nd
     if method not in REPRESENTATION_METHODS:
         raise ConfigError(
             f"unknown representation method {method!r}, expected one of {REPRESENTATION_METHODS}")
+    periods, assignment = np.asarray(periods), np.asarray(assignment)
     if assignment.dtype.kind not in "iu":
         raise DataError(f"assignment of dtype {assignment.dtype} is not an integer array")
-    if assignment.shape[0] != periods.shape[0]:
-        raise DataError(
-            f"assignment covers {assignment.shape[0]} periods, there are {periods.shape[0]}")
+    if periods.ndim != 3 or assignment.shape != periods.shape[:1]:
+        raise DataError(f"assignment of shape {assignment.shape} for periods of shape "
+                        f"{periods.shape}, expected (P,) and (P, T, N_a)")
     if np.any(assignment < 0):
         i = np.argmax(assignment < 0)
         raise DataError(f"period {i} has the negative cluster index {assignment[i]}")

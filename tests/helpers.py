@@ -19,8 +19,8 @@ def periods_of(values, steps, norm="minmax"):
 
 def merge_list(linkage):
     """A linkage's merge arrays as [(id_a, id_b, cost, size)], the oracles' form."""
-    return list(zip(*linkage.ids.T.tolist(), linkage.costs.tolist(),
-                    linkage.sizes.tolist()))
+    ids, costs, sizes = linkage
+    return list(zip(*ids.T.tolist(), costs.tolist(), sizes.tolist()))
 
 
 def random_matrix(rng, n_steps, n_attrs, spread=1.0):

@@ -14,7 +14,7 @@ import pytest
 import conftest
 
 from tsagg.cli import main
-from tsagg.hierarchy import ward_linkage
+from tsagg.hierarchy import cut, ward_linkage
 from tsagg.metrics import duration_curve_rmse, rmse_tot
 from tsagg.pathway import (
     MORE_PERIODS,
@@ -132,13 +132,13 @@ def test_ward_oracle_equivalence():
     for _ in range(100):
         n = int(rng.integers(2, 9))
         samples = rng.standard_normal((n, int(rng.integers(1, 4))))
-        free = ward_linkage(samples)
+        free = ward_linkage(samples)[0]
         free_ref = naive_ward(samples)
         chain_ref = naive_ward(samples, chain_matrix(n))
-        ok = free.ids.tolist() == [[a, b] for a, b, _, _ in free_ref]
+        ok = free.tolist() == [[a, b] for a, b, _, _ in free_ref]
         # a chain's partitions at every k fix its merge sequence
         for k in range(1, n + 1):
-            ok = ok and np.array_equal(free.cut(k)[0], naive_cut(n, free_ref, k))
+            ok = ok and np.array_equal(cut(free, k)[0], naive_cut(n, free_ref, k))
             chain_cut = chain_partition(samples, k)
             ok = ok and np.array_equal(chain_cut, naive_cut(n, chain_ref, k))
             contiguous = contiguous and \

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from tsagg import hierarchy
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import available_memory, sq_distances, ward_linkage
+from tsagg.hierarchy import available_memory, cut, sq_distances, ward_linkage
 from tsagg.representation import represent
 from tsagg.synthetic import load_profile, solar_profile, wind_profile
 
@@ -35,7 +35,7 @@ from reference import (
 
 def assert_same_merges(linkage, expected):
     """The merge arrays equal the (ids, costs, sizes) arrays, bit for bit."""
-    for got, want in zip((linkage.ids, linkage.costs, linkage.sizes), expected):
+    for got, want in zip(linkage, expected):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -82,13 +82,13 @@ def assert_same_partition(a, b):
 class TestWardExamples:
     def test_two_tight_pairs(self):
         samples = np.array([0.0, 0.1, 5.0, 5.1])
-        assignment, _ = ward_linkage(samples).cut(2)
+        assignment, _ = cut(ward_linkage(samples)[0], 2)
         expected, _ = best_partition(samples, 2)
         assert_same_partition(assignment, expected)
         assert np.bincount(assignment).tolist() == [2, 2]
 
     def test_k_equals_n(self):
-        assignment, nodes = ward_linkage(np.array([3.0, 1.0, 2.0])).cut(3)
+        assignment, nodes = cut(ward_linkage(np.array([3.0, 1.0, 2.0]))[0], 3)
         assert assignment.tolist() == [0, 1, 2]
         assert nodes.tolist() == [0, 1, 2]
 
@@ -99,9 +99,9 @@ class TestWardExamples:
 
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
-            ward_linkage(np.zeros((3, 1))).cut(0)
+            cut(ward_linkage(np.zeros((3, 1)))[0], 0)
         with pytest.raises(ConfigError):
-            ward_linkage(np.zeros((3, 1))).cut(4)
+            cut(ward_linkage(np.zeros((3, 1)))[0], 4)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(DataError, match="no samples to cluster"):
@@ -169,8 +169,8 @@ class TestOverflowBound:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(over="raise", invalid="raise"):
-                linkage = ward_linkage(scaled_to_bound(x, 0.999))
-        assert np.isfinite(linkage.costs).all()
+                _, costs, _ = ward_linkage(scaled_to_bound(x, 0.999))
+        assert np.isfinite(costs).all()
 
     @settings(max_examples=150, deadline=None)
     @given(spread_samples())
@@ -193,7 +193,7 @@ class TestOracleEquivalence:
                        "breaks ties the oracle keeps (ROADMAP item 4)")
     def test_tie_rule_on_rounded_ties(self):
         expected = naive_ward(TIE_RULE_DEFECT)
-        assert ward_linkage(TIE_RULE_DEFECT).ids.tolist() == [[a, b] for a, b, _, _ in expected]
+        assert ward_linkage(TIE_RULE_DEFECT)[0].tolist() == [[a, b] for a, b, _, _ in expected]
 
     def test_unconstrained_matches_naive(self):
         rng = np.random.default_rng(7)
@@ -201,13 +201,13 @@ class TestOracleEquivalence:
             n = int(rng.integers(2, 9))
             d = int(rng.integers(1, 4))
             samples = rng.standard_normal((n, d))
-            linkage = ward_linkage(samples)
+            ids, costs, _ = ward_linkage(samples)
             expected = naive_ward(samples)
-            assert linkage.ids.tolist() == [[a, b] for a, b, _, _ in expected]
-            np.testing.assert_allclose(linkage.costs, [c for _, _, c, _ in expected],
+            assert ids.tolist() == [[a, b] for a, b, _, _ in expected]
+            np.testing.assert_allclose(costs, [c for _, _, c, _ in expected],
                                        rtol=1e-9)
             for k in range(1, n + 1):
-                assert_same_partition(linkage.cut(k)[0], naive_cut(n, expected, k))
+                assert_same_partition(cut(ids, k)[0], naive_cut(n, expected, k))
 
     def test_chain_matches_naive(self):
         rng = np.random.default_rng(8)
@@ -324,9 +324,8 @@ class TestPinnedMerges:
     @pytest.mark.parametrize("days, seed, norm", sorted(LINKAGE_DIGESTS))
     def test_digest(self, days, seed, norm):
         rows = periods_of(benchmark_frame(days, seed), 24, norm).reshape(days, -1)
-        linkage = ward_linkage(rows)
         digest = hashlib.sha256()
-        for merges in (linkage.ids, linkage.costs, linkage.sizes):
+        for merges in ward_linkage(rows):
             digest.update(merges.tobytes())
         assert digest.hexdigest() == LINKAGE_DIGESTS[days, seed, norm]
 
@@ -369,6 +368,20 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n
+
+    def test_pass_check_compares_few_tied_pairs(self):
+        # all distances tie, so every pair with a new cluster ties the pass's
+        # last cost; the check bounds the tied rows to those before the last
+        # merged row. It peaks 1.8 MB above the 9.0 MB triangle, and 4.9 MB
+        # when it compares every tied pair
+        n = 1500
+        tracemalloc.start()
+        try:
+            ward_linkage(np.zeros((n, 1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 4 * n * (n + 1) < 3e6
 
     def test_available_memory_reads_meminfo(self, tmp_path, monkeypatch):
         meminfo = tmp_path / "meminfo"
@@ -418,7 +431,7 @@ class TestCut:
         linkage = ward_linkage(tie_heavy_sixty())
         merges = merge_list(linkage)
         for k in range(1, 61):
-            assignment, nodes = linkage.cut(k)
+            assignment, nodes = cut(linkage[0], k)
             expected = naive_cut(60, merges, k)
             np.testing.assert_array_equal(assignment, expected)
             assert nodes.size == k
@@ -427,39 +440,38 @@ class TestCut:
         linkage = ward_linkage(tie_heavy_sixty())
         merges = merge_list(linkage)
         for k in range(1, 61):
-            np.testing.assert_array_equal(linkage.cut(k)[1], naive_nodes(60, merges, k))
+            np.testing.assert_array_equal(cut(linkage[0], k)[1], naive_nodes(60, merges, k))
         # singletons are their sample ids; the last merge's cluster is 2n - 2
-        np.testing.assert_array_equal(linkage.cut(60)[1], np.arange(60))
-        assert linkage.cut(1)[1].tolist() == [118]
+        np.testing.assert_array_equal(cut(linkage[0], 60)[1], np.arange(60))
+        assert cut(linkage[0], 1)[1].tolist() == [118]
 
     def test_counts_must_be_integers(self):
-        linkage = ward_linkage(tie_heavy_sixty())
+        ids = ward_linkage(tie_heavy_sixty())[0]
         for k in (2.0, 2.5, "2"):
             with pytest.raises(ConfigError, match="is not an integer"):
-                linkage.cut(k)
-        for got, expected in zip(linkage.cut(np.int64(7)), linkage.cut(7)):
+                cut(ids, k)
+        for got, expected in zip(cut(ids, np.int64(7)), cut(ids, 7)):
             np.testing.assert_array_equal(got, expected)
 
 
 class TestLinkageProperties:
     def test_run_to_completion_has_n_minus_1_merges(self):
-        linkage = ward_linkage(np.random.default_rng(0).standard_normal((12, 3)))
-        assert linkage.ids.shape == (11, 2)
-        assert linkage.costs.shape == linkage.sizes.shape == (11,)
+        ids, costs, sizes = ward_linkage(np.random.default_rng(0).standard_normal((12, 3)))
+        assert ids.shape == (11, 2)
+        assert costs.shape == sizes.shape == (11,)
 
     def test_unconstrained_costs_non_decreasing(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            linkage = ward_linkage(rng.standard_normal((15, 2)))
-            costs = linkage.costs.tolist()
+            costs = ward_linkage(rng.standard_normal((15, 2)))[1].tolist()
             assert all(c1 <= c2 * (1 + 1e-12) for c1, c2 in zip(costs, costs[1:]))
 
     def test_determinism(self):
         samples = np.random.default_rng(2).standard_normal((20, 4))
         a = ward_linkage(samples.copy())
         b = ward_linkage(samples.copy())
-        assert_same_merges(a, (b.ids, b.costs, b.sizes))
-        for got, want in zip(a.cut(5), b.cut(5)):
+        assert_same_merges(a, b)
+        for got, want in zip(cut(a[0], 5), cut(b[0], 5)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_chain_clusters_are_intervals(self):
@@ -481,10 +493,10 @@ class TestLinkageProperties:
     def test_successive_cuts_differ_by_one_split(self):
         rng = np.random.default_rng(4)
         samples = rng.standard_normal((12, 2))
-        linkage = ward_linkage(samples)
+        ids = ward_linkage(samples)[0]
         for k in range(1, 12):
-            coarse, _ = linkage.cut(k)
-            fine, _ = linkage.cut(k + 1)
+            coarse, _ = cut(ids, k)
+            fine, _ = cut(ids, k + 1)
             # every fine cluster sits inside one coarse cluster
             split = set()
             for c in range(k + 1):

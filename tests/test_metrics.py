@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import DataError
-from tsagg.hierarchy import ward_linkage
+from tsagg.hierarchy import cut, ward_linkage
 from tsagg.metrics import (
     attribute_rmse,
     build_report,
@@ -52,7 +52,7 @@ class TestReconstruct:
     def test_piecewise_constant_within_segments(self):
         rng = np.random.default_rng(2)
         periods = periods_of(rng.standard_normal((96, 1)), 24)
-        assignment, _ = ward_linkage(periods.reshape(4, -1)).cut(2)
+        assignment, _ = cut(ward_linkage(periods.reshape(4, -1))[0], 2)
         profiles = represent(periods, assignment, "centroid")
         lengths, values = cut_layout(profiles, segment_linkage(profiles), 5)
         rec = reconstruct(lengths, values, assignment).reshape(4, 24)
@@ -64,7 +64,7 @@ class TestReconstruct:
 
     def test_shape_mismatch_rejected(self):
         # an assignment to two clusters, but segments of only one representative
-        assignment, _ = ward_linkage(np.arange(4.0)).cut(2)
+        assignment, _ = cut(ward_linkage(np.arange(4.0))[0], 2)
         profiles = represent(periods_of(np.arange(6.0), 3), np.zeros(2, dtype=np.int64),
                              "centroid")
         lengths, values = cut_layout(profiles, segment_linkage(profiles), 3)
@@ -87,6 +87,22 @@ class TestReconstruct:
         with pytest.raises(DataError, match=message):
             call()
 
+    @pytest.mark.parametrize("lengths, values, assignment, message", [
+        (np.array([[2, 2]]), np.zeros((1, 2, 1)), np.zeros((2, 3), dtype=np.int64),
+         r"assignment of shape \(2, 3\)"),
+        (np.array([[2, 2]]), np.zeros((1, 2, 1)), np.int64(0), r"assignment of shape \(\)"),
+        ([[2, 2]], np.zeros((1, 2, 1)), [[0]], r"assignment of shape \(1, 1\)"),
+        ([[2, 1]], [[[1.0], [2.0]]], [0, 0], None),
+    ], ids=["table-assignment", "scalar-assignment", "nested-list", "lists"])
+    def test_lists_work_and_dimensions_are_checked(self, lengths, values, assignment, message):
+        # lists are taken as the arrays they spell
+        if message is None:
+            rec = reconstruct(lengths, values, assignment)
+            assert rec.ravel().tolist() == [1.0, 1.0, 2.0] * 2
+        else:
+            with pytest.raises(DataError, match=message):
+                reconstruct(lengths, values, assignment)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
     def test_unsigned_and_signed_indices_work(self, dtype):
         rec = reconstruct(np.array([[2, 1]], dtype=dtype), np.arange(2.0).reshape(1, 2, 1),
@@ -95,6 +111,17 @@ class TestReconstruct:
         profiles = represent(np.arange(6.0).reshape(3, 2, 1), np.array([0, 1, 1], dtype=dtype),
                              "centroid")
         assert profiles.ravel().tolist() == [0.0, 1.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (0, 2), (3, 0)])
+@pytest.mark.parametrize("metric", [
+    rmse_tot, attribute_rmse, duration_curve_rmse,
+    lambda original, aggregated: build_report(original, aggregated,
+                                              [f"a{i}" for i in range(original.shape[1])]),
+], ids=["rmse_tot", "attribute_rmse", "duration_curve_rmse", "build_report"])
+def test_empty_data_rejected(metric, shape):
+    with pytest.raises(DataError, match=rf"empty data: shape \({shape[0]}, {shape[1]}\)"):
+        metric(np.zeros(shape), np.zeros(shape))
 
 
 class TestRmseTot:

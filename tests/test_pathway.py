@@ -7,7 +7,7 @@ from numpy.testing import assert_array_equal
 
 from tsagg import pathway
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import ward_linkage
+from tsagg.hierarchy import cut, ward_linkage
 from tsagg.metrics import reconstruct, rmse_tot
 from tsagg.pathway import (
     MORE_PERIODS,
@@ -156,9 +156,9 @@ class TestNodeCache:
             mp.setattr(pathway, "ward_linkage",
                        lambda samples: linkages.append(1) or ward_linkage(samples))
             evaluator = ConfigEvaluator(periods)
-        linkage = ward_linkage(periods.reshape(n_periods, -1))
+        ids = ward_linkage(periods.reshape(n_periods, -1))[0]
         for p, s, method in visits + visits[::-1]:
-            assignment, _ = linkage.cut(p)
+            assignment, _ = cut(ids, p)
             fresh = represent(periods, assignment, method)
             lengths, values = cut_layout(fresh, segment_linkage(fresh), s)
             expected = reconstruct(lengths, values, assignment)

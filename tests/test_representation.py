@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from tsagg import representation
 from tsagg.core import to_periods
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import ward_linkage
+from tsagg.hierarchy import cut, ward_linkage
 from tsagg.representation import MEDOID_BROADCAST, REPRESENTATION_METHODS, represent
 
 from helpers import periods_of
@@ -58,7 +58,7 @@ def mirrored_integer_rows(rng, m, width):
 def clustered(values, steps, k):
     """Normalized periods and their assignment at k clusters."""
     periods = periods_of(values, steps)
-    return periods, ward_linkage(rows_of(periods)).cut(k)[0]
+    return periods, cut(ward_linkage(rows_of(periods))[0], k)[0]
 
 
 class TestCentroid:
@@ -98,7 +98,7 @@ class TestMedoid:
     def test_middle_of_three(self):
         # periods of one step with values 0, 1, 10: medoid is the middle one
         periods = periods_of(np.array([0.0, 1.0, 10.0]), 1)
-        assignment, _ = ward_linkage(np.zeros((3, 1))).cut(1)  # force one cluster
+        assignment, _ = cut(ward_linkage(np.zeros((3, 1)))[0], 1)  # force one cluster
         profiles = represent(periods, assignment, "medoid")
         np.testing.assert_array_equal(profiles[0], periods[1])
 
@@ -299,7 +299,7 @@ class TestCommon:
 
     def test_assignment_size_mismatch_rejected(self):
         periods = periods_of(np.arange(12.0), 3)
-        assignment, _ = ward_linkage(np.zeros((2, 1))).cut(1)
+        assignment, _ = cut(ward_linkage(np.zeros((2, 1)))[0], 1)
         with pytest.raises(DataError):
             represent(periods, assignment, "centroid")
 
@@ -317,6 +317,22 @@ class TestCommon:
         periods = periods_of(np.arange(12.0), 4)
         with pytest.raises(DataError, match=message):
             represent(periods, np.array(assignment), method)
+
+    @pytest.mark.parametrize("periods, assignment, message", [
+        (np.zeros((3, 2)), np.zeros(3, dtype=np.int64), r"periods of shape \(3, 2\)"),
+        (np.zeros((3, 2, 1)), np.zeros((3, 1), dtype=np.int64), r"assignment of shape \(3, 1\)"),
+        (np.zeros((3, 2, 1)), [[0], [0], [0]], r"assignment of shape \(3, 1\)"),
+        (np.zeros((3, 2, 1)), [0, 0, 0], None),
+        ([[[0.0], [1.0]], [[2.0], [3.0]]], [0, 0], None),
+    ], ids=["flat-periods", "column-assignment", "nested-list", "list", "list-periods"])
+    def test_lists_work_and_dimensions_are_checked(self, periods, assignment, message):
+        # lists are taken as the arrays they spell
+        if message is None:
+            expected = represent(np.array(periods), np.array(assignment), "centroid")
+            np.testing.assert_array_equal(represent(periods, assignment, "centroid"), expected)
+        else:
+            with pytest.raises(DataError, match=message):
+                represent(periods, assignment, "centroid")
 
 
 @st.composite
@@ -339,9 +355,9 @@ class TestOracle:
     @given(tie_heavy_periods())
     def test_tie_heavy_every_cut(self, periods):
         n_periods, steps, _ = periods.shape
-        linkage = ward_linkage(rows_of(periods))
+        ids = ward_linkage(rows_of(periods))[0]
         for p in range(1, n_periods + 1):
-            assignment, _ = linkage.cut(p)
+            assignment, _ = cut(ids, p)
             for method in REPRESENTATION_METHODS:
                 np.testing.assert_array_equal(
                     represent(periods, assignment, method),
@@ -351,9 +367,9 @@ class TestOracle:
         # clusters of 9+ members reduce pairwise, so summation order shows
         rng = np.random.default_rng(6)
         periods = periods_of(7.3 * rng.standard_normal((40 * 6, 3)), 6)
-        linkage = ward_linkage(rows_of(periods))
+        ids = ward_linkage(rows_of(periods))[0]
         for p in range(1, 41):
-            assignment, _ = linkage.cut(p)
+            assignment, _ = cut(ids, p)
             for method in REPRESENTATION_METHODS:
                 np.testing.assert_array_equal(
                     represent(periods, assignment, method),

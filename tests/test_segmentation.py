@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tsagg.errors import ConfigError, DataError
-from tsagg.hierarchy import ward_linkage
+from tsagg.hierarchy import cut, ward_linkage
 from tsagg.representation import represent
 from tsagg.metrics import reconstruct
 from tsagg.segmentation import cut_layout, segment_linkage
@@ -148,7 +148,7 @@ class TestSegmentRepresentatives:
     @staticmethod
     def segmented(values, steps, k, n_segments):
         periods = periods_of(values, steps)
-        assignment, _ = ward_linkage(periods.reshape(periods.shape[0], -1)).cut(k)
+        assignment, _ = cut(ward_linkage(periods.reshape(periods.shape[0], -1))[0], k)
         profiles = represent(periods, assignment, "centroid")
         return profiles, cut_layout(profiles, segment_linkage(profiles), n_segments)
 
@@ -180,11 +180,3 @@ class TestSegmentRepresentatives:
 def test_layout_rejects_malformed_segments(lengths, values, message):
     with pytest.raises(DataError, match=message):
         reconstruct(np.array(lengths), values, np.zeros(1, dtype=np.int64))
-
-
-def test_equality_is_identity():
-    # on equal-content array fields a field-wise == raises instead of answering
-    samples = np.arange(6.0).reshape(3, 2)
-    linkage = ward_linkage(samples)
-    assert linkage == linkage
-    assert linkage != ward_linkage(samples)
