@@ -68,10 +68,10 @@ def normalize(x: np.ndarray, method: str = "minmax",
         raise ConfigError(
             f"unknown normalization method {method!r}, expected one of {NORMALIZATION_METHODS}")
     with np.errstate(all="ignore"):
-        constant = x.max(axis=0) == x.min(axis=0)
+        low, high = x.min(axis=0), x.max(axis=0)
+        constant = high == low
         if method == "minmax":
-            offset = x.min(axis=0)
-            scale = x.max(axis=0) - offset
+            offset, scale = low, high - low
         else:
             offset = x.mean(axis=0)
             scale = x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1])

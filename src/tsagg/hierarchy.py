@@ -49,8 +49,13 @@ def cut(ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     (assignment, nodes): sample i is in cluster assignment[i], numbered
     0..k-1 by first appearance in sample order, and nodes[c] is cluster c's
     node in the merge history, its sample id for a singleton or n + m for
-    the cluster born in merge m. Sizes: np.bincount(assignment).
+    the cluster born in merge m. Sizes: np.bincount(assignment). ids that
+    are not an (m, 2) integer array are a DataError.
     """
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu" or ids.ndim != 2 or ids.shape[1] != 2:
+        raise DataError(f"ids of dtype {ids.dtype} and shape {ids.shape} "
+                        "are not an (m, 2) integer array")
     n = ids.shape[0] + 1
     n_merges = n - check_count(k, "k", n)
     parent = np.arange(n + n_merges)
@@ -98,10 +103,8 @@ def sq_distances(samples: np.ndarray):
     Rows go in blocks of 64 through two buffers of 64 n values. A block
     squares each column's differences from its rows' own index on into one
     buffer and adds them to the other, so each entry accumulates in column
-    order, then writes each row's segment into the triangle. Numpy's
-    iterator would copy a broadcast operand through its buffer whenever a
-    row is shorter than that buffer, which makes the subtraction several
-    times slower; so the loop shrinks the buffer to the smallest numpy takes.
+    order, then writes each row's segment into the triangle. Its broadcasts
+    are fastest under the buffer ``ward_linkage`` sets; the bits are the same.
     """
     n = samples.shape[0]
     keep = ~((samples == samples[:1]).all(axis=0) & np.isfinite(samples[0]))
@@ -114,27 +117,23 @@ def sq_distances(samples: np.ndarray):
     below = np.tri(rows, dtype=bool)  # a row's own index and those below it
     # sized for the first block, the widest
     sums, squares = np.empty(rows * n), np.empty(rows * n)
-    buffer_size = np.setbufsize(16)
-    try:
-        for i in range(0, n, rows):
-            b = min(rows, n - i)
-            acc = sums[:b * (n - i)].reshape(b, n - i)
-            diff = squares[:acc.size].reshape(acc.shape)
-            acc.fill(0.0)
-            for column in columns:
-                np.subtract(column[i:i + b, None], column[i:], out=diff)
-                np.multiply(diff, diff, out=diff)
-                np.add(acc, diff, out=acc)
-            start = int(base[i]) + i
-            for j in range(b):  # row i + j's segment, columns i + j..n-1
-                tri[start:start + n - i - j] = acc[j, j:]
-                start += n - i - j
-            acc[:, :b][below[:b, :b]] = np.inf
-            k = acc.argmin(axis=1)
-            near_r[i:i + b] = i + k
-            near_d[i:i + b] = acc[np.arange(b), k]
-    finally:
-        np.setbufsize(buffer_size)
+    for i in range(0, n, rows):
+        b = min(rows, n - i)
+        acc = sums[:b * (n - i)].reshape(b, n - i)
+        diff = squares[:acc.size].reshape(acc.shape)
+        acc.fill(0.0)
+        for column in columns:
+            np.subtract(column[i:i + b, None], column[i:], out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(acc, diff, out=acc)
+        start = int(base[i]) + i
+        for j in range(b):  # row i + j's segment, columns i + j..n-1
+            tri[start:start + n - i - j] = acc[j, j:]
+            start += n - i - j
+        acc[:, :b][below[:b, :b]] = np.inf
+        k = acc.argmin(axis=1)
+        near_r[i:i + b] = i + k
+        near_d[i:i + b] = acc[np.arange(b), k]
     return tri, base, near_d, near_r
 
 
@@ -184,6 +183,8 @@ def ward_linkage(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     2|A||B|/(|A| + |B|) times the squared distance of centroids in the
     samples' bounding box, at most n R; a Lance-Williams term, a size of at
     most n times a cost, n^2 R, and a sum of two 2 n^2 R, half the bound.
+    It runs under numpy's smallest buffer, as numpy copies broadcast rows shorter
+    than its buffer: several times slower in the kernel, half as fast in the passes.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim == 1:
@@ -202,7 +203,11 @@ def ward_linkage(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
         raise ConfigError(
             f"clustering {n} periods needs {needed / 1e6:.1f} MB for the "
             f"pairwise distances, but only {free / 1e6:.1f} MB of memory is available")
-    return _generic_ward(samples)
+    buffer_size = np.setbufsize(16)
+    try:
+        return _generic_ward(samples)
+    finally:
+        np.setbufsize(buffer_size)
 
 
 def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -238,7 +243,7 @@ def _generic_ward(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         merged[a] = merged[b] = True
         stays = np.flatnonzero(~merged[order])
         rest, new_d = order[stays], new_d.take(stays, axis=1)
-        low = np.tri(a.size, k=-1, dtype=bool)
+        low = np.isfinite(new_new)  # below the diagonal, under the overflow bound
         tri[_position(base, a[:, None], rest)] = new_d
         tri[_position(base, a[:, None], a)[low]] = new_new[low]
         # a new cluster's neighbour is the first minimum among the later ones
@@ -303,14 +308,14 @@ def _merge_batch(tri, base, size, row_id, order, near_d, near_r):
     rows = tri.take(_position(base, np.concatenate((a, b))[:, None], order))
     new_d = update(rows[:a.size], rows[a.size:], size[order])
     # [u, s]: the later cluster u's distance to s, as merge u computes it
-    to_a, to_b = np.split(new_d[:, at].T, 2)
-    new_new = np.where(np.tri(a.size, k=-1, dtype=bool), update(to_a, to_b, (si + sj).T), np.inf)
+    t, taken = np.arange(a.size), np.full(order.size, a.size)
+    to_a, to_b = new_d[:, at].T.reshape(2, a.size, -1)
+    new_new = np.where(t[:, None] > t, update(to_a, to_b, (si + sj).T), np.inf)
     # a cluster s < t comes before merge t with a row no merge before t takes
     # (taken[j] >= t) or a new cluster u < t. New ids are the largest, so on
     # a tie only a row of smaller id than merge t's comes first, and no pair
     # after (last cost, largest merged row) does, which bounds equal distances
-    t, taken = np.arange(a.size), np.full(order.size, a.size)
-    taken[at] = np.tile(t, 2)
+    taken[at.reshape(2, -1)] = t
     rival = new_d <= d[-1, 0]
     rival[:, at.max():] = new_d[:, at.max():] < d[-1, 0]
     s, j = np.divmod(np.flatnonzero(rival), order.size)

@@ -87,8 +87,9 @@ class ConfigEvaluator:
     """
 
     def __init__(self, periods: np.ndarray):
-        if np.ndim(periods) != 3 or 0 in np.shape(periods):
-            raise DataError(f"periods must be a (P, T, N_a) array, got shape {np.shape(periods)}")
+        periods = np.asarray(periods, dtype=np.float64)
+        if periods.ndim != 3 or 0 in periods.shape:
+            raise DataError(f"periods must be a (P, T, N_a) array, got shape {periods.shape}")
         self.periods = periods
         self.merges = ward_linkage(periods.reshape(len(periods), -1))[0]
         self._cuts: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -330,6 +330,34 @@ class TestPinnedMerges:
         assert digest.hexdigest() == LINKAGE_DIGESTS[days, seed, norm]
 
 
+class TestBufferScope:
+    """The linkage runs under numpy's smallest buffer and restores the caller's."""
+
+    def test_kernel_and_merge_passes_run_under_it(self, monkeypatch):
+        seen = []
+        for name in ("sq_distances", "_merge_batch"):
+            function = getattr(hierarchy, name)
+            monkeypatch.setattr(hierarchy, name, lambda *args, f=function:
+                                seen.append(np.getbufsize()) or f(*args))
+        before = np.setbufsize(16384)
+        try:
+            ward_linkage(synthetic_year())
+            assert np.getbufsize() == 16384
+        finally:
+            np.setbufsize(before)
+        assert len(seen) > 2 and set(seen) == {16}
+
+    def test_restored_when_the_merge_loop_raises(self, monkeypatch):
+        def failing(*args):
+            raise RuntimeError("merge pass failed")
+
+        monkeypatch.setattr(hierarchy, "_merge_batch", failing)
+        before = np.getbufsize()
+        with pytest.raises(RuntimeError, match="merge pass failed"):
+            ward_linkage(synthetic_year())
+        assert np.getbufsize() == before
+
+
 class TestTriangle:
     def test_position_is_the_row_major_index(self):
         # every (r, c), both orders, at the index of the upper triangle's
@@ -452,6 +480,20 @@ class TestCut:
                 cut(ids, k)
         for got, expected in zip(cut(ids, np.int64(7)), cut(ids, 7)):
             np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("ids", [np.array([[0.0, 1.0]]), np.array([0, 1]),
+                                     np.zeros((1, 3), dtype=np.int64)],
+                             ids=["float", "one-dimensional", "three-columns"])
+    def test_ids_must_be_integer_pairs(self, ids):
+        with pytest.raises(DataError, match=r"not an \(m, 2\) integer array"):
+            cut(ids, 1)
+
+    def test_list_of_pairs_cuts_like_its_array(self):
+        ids = ward_linkage(tie_heavy_sixty())[0]
+        for k in (1, 7, 60):
+            for got, expected in zip(cut(ids.tolist(), k), cut(ids, k)):
+                np.testing.assert_array_equal(got, expected)
+        assert [c.tolist() for c in cut([[0, 1]], 1)] == [[0, 0], [2]]
 
 
 class TestLinkageProperties:

@@ -121,6 +121,14 @@ class TestEvaluateConfig:
         with pytest.raises(DataError, match="periods must be a"):
             ConfigEvaluator(np.zeros(shape))
 
+    def test_nested_list_evaluates_like_its_array(self):
+        nested = [[[0.0], [1.0]], [[2.0], [3.0]]]
+        listed, array = ConfigEvaluator(nested), ConfigEvaluator(np.array(nested))
+        for p in (1, 2):
+            for s in (1, 2):
+                for method in REPRESENTATION_METHODS:
+                    assert listed.evaluate(p, s, method) == array.evaluate(p, s, method)
+
 
 @st.composite
 def tie_heavy_periods(draw):
@@ -138,6 +146,53 @@ def tie_heavy_periods(draw):
     if draw(st.booleans()):
         periods[:, :, draw(st.integers(0, n_attrs - 1))] = draw(st.integers(0, 2))
     return periods_of(periods.reshape(-1, n_attrs), steps)
+
+
+@st.composite
+def landscape_frames(draw):
+    """Random or 0..2 tie-heavy normalized frames, P <= 40, T <= 8, N_a <= 2."""
+    steps, n_attrs = draw(st.integers(1, 8)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        pool = draw(arrays(np.int64, (draw(st.integers(1, 10)), steps, n_attrs),
+                           elements=st.integers(0, 2)))
+        repeats = draw(st.lists(st.integers(1, 4), min_size=len(pool), max_size=len(pool)))
+        periods = np.repeat(pool, repeats, axis=0).astype(np.float64)
+        periods = periods[draw(st.permutations(range(len(periods))))]
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        periods = rng.standard_normal((draw(st.integers(1, 40)), steps, n_attrs))
+    return periods_of(periods.reshape(-1, n_attrs), steps)
+
+
+class TestErrorLandscape:
+    """The SSE of every configuration in closed form, from the linkage's costs.
+
+    Ward's cost is twice a merge's SSE increase, and the members of cluster
+    k sum to n_k c_k about their centroid c_k, so for any representative
+    rec_k: P T N_a rmse^2 = (the first P - p costs) / 2 + sum_k n_k |c_k - rec_k|^2.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(landscape_frames())
+    def test_identity_on_the_grid(self, periods):
+        n_periods, steps, n_attrs = periods.shape
+        x = periods.reshape(-1, n_attrs)
+        total = ((x - x.mean(axis=0)) ** 2).sum()
+        costs = ward_linkage(periods.reshape(n_periods, -1))[1]
+        evaluator = ConfigEvaluator(periods)
+        for method in REPRESENTATION_METHODS:
+            for p in build_grid(n_periods):
+                within = costs[:n_periods - p].sum() / 2
+                for s in build_grid(steps):
+                    assignment, _, _, rec = evaluator.reconstruction(p, s, method)
+                    rec = rec.reshape(periods.shape)
+                    between = 0.0
+                    for k in range(p):
+                        members = np.flatnonzero(assignment == k)
+                        centroid = periods[members].mean(axis=0)
+                        between += members.size * ((centroid - rec[members[0]]) ** 2).sum()
+                    sse = x.size * evaluator.evaluate(p, s, method) ** 2
+                    assert abs(sse - (within + between)) <= 1e-12 * total
 
 
 class TestNodeCache:
